@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -282,12 +283,9 @@ func TestOldLeaderTailTruncatedOnRejoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	fi, err := os.Stat(oldLog)
-	if err != nil {
-		t.Fatal(err)
+	if forged, err := os.ReadFile(oldLog); err != nil || !bytes.Contains(forged, []byte("m-777777")) {
+		t.Fatalf("forged tail not readable back from the dead leader's log: %v", err)
 	}
-	sizeWithTail := fi.Size()
-
 	// Diverge the new history past the promotion point.
 	m := testPopulation(t, 93, 1, 0).Members[0]
 	rec, err := c.Ingest(m.Model, m.Card, registry.RegisterOptions{Name: m.Truth.Name + "-diverge", Version: "1"})
@@ -301,12 +299,14 @@ func TestOldLeaderTailTruncatedOnRejoin(t *testing.T) {
 	if err := c.RestartShardLeader(0); err != nil {
 		t.Fatal(err)
 	}
-	fi, err = os.Stat(oldLog)
+	// (Checked by content, not size: the shipper may already have appended
+	// the promoted history to the truncated log by the time we look.)
+	rejoined, err := os.ReadFile(oldLog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi.Size() >= sizeWithTail {
-		t.Fatalf("deposed leader's log still %d bytes (was %d with forged tail); tail not truncated", fi.Size(), sizeWithTail)
+	if bytes.Contains(rejoined, []byte("m-777777")) {
+		t.Fatal("deposed leader's log still holds the forged tail record; tail not truncated")
 	}
 	if err := c.FlushReplication(ctx); err != nil {
 		t.Fatalf("rejoined replica did not converge: %v", err)

@@ -13,11 +13,14 @@ package index
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"modellake/internal/fault"
@@ -31,60 +34,6 @@ func buildSegment(t *testing.T, path string, metric Metric, cfg QuantConfig, ids
 		t.Fatal(err)
 	}
 	return d
-}
-
-// TestDiskFlatMatchesFlatProperty pins the disk tier to the full-sort
-// oracle across metrics and k values, through a close/reopen cycle and
-// after in-RAM tail adds.
-func TestDiskFlatMatchesFlatProperty(t *testing.T) {
-	for _, metric := range []Metric{Cosine, L2} {
-		const n, dim = 400, 16
-		vecs := randomVecs(t, n+20, dim, 91+uint64(metric))
-		ids := make([]string, n+20)
-		for i := range ids {
-			ids[i] = fmt.Sprintf("id%04d", i)
-		}
-		path := filepath.Join(t.TempDir(), "vec.seg")
-		d := buildSegment(t, path, metric, QuantConfig{}, ids[:n], vecs[:n])
-		queries := randomVecs(t, 6, dim, 300+uint64(metric))
-		check := func(label string, count int) {
-			t.Helper()
-			for _, k := range []int{1, 5, 20, count} {
-				for qi, q := range queries {
-					got, err := d.Search(context.Background(), q, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := referenceSearch(metric, ids[:count], vecs[:count], q, k)
-					assertBitwiseEqual(t, fmt.Sprintf("%s metric=%v k=%d q=%d", label, metric, k, qi), got, want)
-				}
-			}
-		}
-		check("fresh build", n)
-
-		// Reopen must revalidate and answer identically.
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
-		var err error
-		d, err = OpenDiskFlat(path, nil, metric, QuantConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("reopened", n)
-
-		// Rows added after open live in the in-RAM tail and join the same
-		// two-phase search.
-		for i := n; i < n+20; i++ {
-			if err := d.Add(ids[i], vecs[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		check("with tail", n+20)
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
 }
 
 // TestDiskFlatChecksumsRoundTrip pins the published checksum pair to the
@@ -156,6 +105,197 @@ func TestDiskFlatTailSpill(t *testing.T) {
 	}
 	count := d.Len()
 	assertBitwiseEqual(t, "reopened after spills", got, referenceSearch(Cosine, ids[:count], vecs[:count], q, 7))
+}
+
+// switchInjector lets a test change the fault plan of the filesystem an index
+// was built on: healthy while nil, then whatever plan is set.
+type switchInjector struct {
+	mu  sync.Mutex
+	inj fault.Injector
+}
+
+func (s *switchInjector) set(inj fault.Injector) {
+	s.mu.Lock()
+	s.inj = inj
+	s.mu.Unlock()
+}
+
+func (s *switchInjector) Apply(op fault.Op, path string) error {
+	s.mu.Lock()
+	inj := s.inj
+	s.mu.Unlock()
+	if inj == nil {
+		return nil
+	}
+	return inj.Apply(op, path)
+}
+
+// TestDiskFlatSpillFailureKeepsRow is the crash-window sweep of a spill
+// triggered from Add. A torn or sticky fault at every IO operation of the
+// compaction (segment and, in PQ mode, side file) must not turn into an Add
+// failure: the row was already indexed, so Add returns nil, the failure is
+// counted, Len and Search stay bitwise equal to the reference over every row
+// added, the next Add on a healthy filesystem completes the spill, and the
+// segment left on disk validates.
+func TestDiskFlatSpillFailureKeepsRow(t *testing.T) {
+	const n, dim, spill, k = 40, 8, 10, 7
+	vecs := randomVecs(t, n+spill+1, dim, 88)
+	ids := seqIDs(len(vecs))
+	q := randomVecs(t, 1, dim, 89)[0]
+	for name, cfg := range map[string]QuantConfig{
+		"int8": {SpillTailRows: spill},
+		"pq":   {SpillTailRows: spill, PQSubspaces: 4, PQTrainRows: 32, Seed: 5},
+	} {
+		// almostFull returns an index one Add short of a spill.
+		almostFull := func(sw *switchInjector) *DiskFlat {
+			path := filepath.Join(t.TempDir(), "vec.seg")
+			d, err := BuildDiskFlat(path, fault.New(sw), Cosine, cfg, ids[:n], func(i int) []float64 { return vecs[i] })
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := n; i < n+spill-1; i++ {
+				if err := d.Add(ids[i], vecs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return d
+		}
+		check := func(label string, d *DiskFlat, rows int) {
+			t.Helper()
+			if d.Len() != rows {
+				t.Fatalf("%s: Len = %d, want %d", label, d.Len(), rows)
+			}
+			got, err := d.Search(context.Background(), q, k)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			assertBitwiseEqual(t, label, got, referenceSearch(Cosine, ids[:rows], vecs[:rows], q, k))
+		}
+
+		// Pass 0: record the op sequence of a clean spill.
+		sw, rec := &switchInjector{}, &fault.Recorder{}
+		d := almostFull(sw)
+		sw.set(rec)
+		if err := d.Add(ids[n+spill-1], vecs[n+spill-1]); err != nil {
+			t.Fatal(err)
+		}
+		ops := rec.Ops()
+		if d.SegmentLen() != n+spill || len(ops) < 8 {
+			t.Fatalf("%s: clean spill left %d segment rows after %d ops: %v", name, d.SegmentLen(), len(ops), ops)
+		}
+		d.Close()
+
+		for _, mode := range []string{"torn", "sticky"} {
+			failed := 0
+			for at := 1; at <= len(ops); at++ {
+				label := fmt.Sprintf("%s %s@%d (%v)", name, mode, at, ops[at-1])
+				sw := &switchInjector{}
+				d := almostFull(sw)
+				sw.set(&fault.Script{FailAt: at, Torn: 7, Sticky: mode == "sticky"})
+				before := spillFailures.Value()
+				if err := d.Add(ids[n+spill-1], vecs[n+spill-1]); err != nil {
+					t.Fatalf("%s: Add failed for a row it kept: %v", label, err)
+				}
+				// The one op after the swap — closing the old handle — cannot
+				// fail the spill any more; every earlier one must leave the
+				// previous segment in place and be counted.
+				spillFailed := d.SegmentLen() == n
+				if !spillFailed && d.SegmentLen() != n+spill {
+					t.Fatalf("%s: segment holds %d rows", label, d.SegmentLen())
+				}
+				if counted := spillFailures.Value() - before; (counted == 1) != spillFailed || counted > 1 {
+					t.Fatalf("%s: spill failed=%v but %d failures counted", label, spillFailed, counted)
+				}
+				if spillFailed {
+					failed++
+				}
+				check(label+" after fault", d, n+spill)
+
+				sw.set(nil)
+				if err := d.Add(ids[n+spill], vecs[n+spill]); err != nil {
+					t.Fatalf("%s: Add on healed filesystem: %v", label, err)
+				}
+				if spillFailed && d.SegmentLen() != n+spill+1 {
+					t.Fatalf("%s: retry left %d of %d rows in the segment", label, d.SegmentLen(), n+spill+1)
+				}
+				check(label+" healed", d, n+spill+1)
+				segRows := d.SegmentLen()
+				if err := d.Close(); err != nil {
+					t.Fatal(err)
+				}
+				od, err := OpenDiskFlat(d.path, nil, Cosine, cfg)
+				if err != nil {
+					t.Fatalf("%s: reopen: %v", label, err)
+				}
+				if od.SegmentLen() != segRows {
+					t.Fatalf("%s: reopened %d segment rows, want %d", label, od.SegmentLen(), segRows)
+				}
+				check(label+" reopened", od, segRows)
+				od.Close()
+			}
+			if failed < len(ops)-1 {
+				t.Fatalf("%s %s: only %d of %d fault points failed the spill", name, mode, failed, len(ops))
+			}
+		}
+	}
+}
+
+// TestSegmentFormatPinned pins the bytes on disk: for a fixed seed the MLVF1
+// segment and the MLPQ1 side file a build writes — under the int8 and the PQ
+// configuration, and again after a tail spill rewrote both — hash to what
+// the commit before the shared core produced, so the formats cannot drift.
+func TestSegmentFormatPinned(t *testing.T) {
+	const (
+		n, dim  = 200, 16
+		segment = "99e053ebe87f4d3e1a246a903977b46519fc786abaf134412866a9e004da5b61"
+	)
+	vecs := randomVecs(t, n, dim, 2025)
+	ids := seqIDs(n)
+	pq := QuantConfig{PQSubspaces: 8, PQTrainRows: 32, Seed: 77}
+	spill := pq
+	spill.SpillTailRows = 10
+	for _, tc := range []struct {
+		name  string
+		cfg   QuantConfig
+		built int    // rows in the first build; the rest arrive through Add
+		side  string // SHA-256 of the .pq side file, empty when none is written
+	}{
+		{"int8", QuantConfig{}, n, ""},
+		{"pq", pq, n, "b71ac49cbdab614ca0eba534f62375f2c800900600971671a2fcd2d1c28e082e"},
+		{"pq spilled", spill, n - 10, "e7edbded25b7f603a4c9418eb640975a6a41d22b2eec605c24a69bde3ab7fe17"},
+	} {
+		path := filepath.Join(t.TempDir(), "vec.seg")
+		d := buildSegment(t, path, Cosine, tc.cfg, ids[:tc.built], vecs[:tc.built])
+		for i := tc.built; i < n; i++ {
+			if err := d.Add(ids[i], vecs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if d.SegmentLen() != n {
+			t.Fatalf("%s: segment holds %d rows, want %d", tc.name, d.SegmentLen(), n)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		sha := func(file string) string {
+			b, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			sum := sha256.Sum256(b)
+			return hex.EncodeToString(sum[:])
+		}
+		if got := sha(path); got != segment {
+			t.Errorf("%s: segment sha256 %s, want %s", tc.name, got, segment)
+		}
+		if tc.side == "" {
+			if _, err := os.Stat(pqSidePath(path)); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("%s: unexpected side file (stat err %v)", tc.name, err)
+			}
+		} else if got := sha(pqSidePath(path)); got != tc.side {
+			t.Errorf("%s: side file sha256 %s, want %s", tc.name, got, tc.side)
+		}
+	}
 }
 
 // TestDiskFlatCrashSweep is the build-time crash-window sweep. A recorder
@@ -328,37 +468,6 @@ func TestDiskFlatClosed(t *testing.T) {
 	}
 	if err := d.Add("late", vecs[0]); err == nil {
 		t.Fatal("add after close succeeded")
-	}
-}
-
-// TestDiskFlatSearchAllocBounds pins the pread-windowed two-phase search at
-// the same near-zero allocation bound as the in-RAM paths.
-func TestDiskFlatSearchAllocBounds(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; bounds only hold in normal builds")
-	}
-	const n, dim = 2000, 32
-	vecs := randomVecs(t, n, dim, 61)
-	ids := make([]string, n)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("m%05d", i)
-	}
-	path := filepath.Join(t.TempDir(), "vec.seg")
-	d := buildSegment(t, path, Cosine, QuantConfig{}, ids, vecs)
-	defer d.Close()
-	q := randomVecs(t, 1, dim, 67)[0]
-	ctx := context.Background()
-	for i := 0; i < 5; i++ { // warm the scratch pool
-		if _, err := d.Search(ctx, q, 10); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if a := testing.AllocsPerRun(100, func() {
-		if _, err := d.Search(ctx, q, 10); err != nil {
-			t.Fatal(err)
-		}
-	}); a > 2 {
-		t.Fatalf("disk search: %v allocs/op, want <= 2", a)
 	}
 }
 

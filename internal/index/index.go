@@ -1,10 +1,12 @@
 // Package index implements the lake's nearest-neighbour indexer (paper §5):
-// a Hierarchical Navigable Small World (HNSW) graph for sublinear approximate
-// search over model embeddings, plus an exact flat scan that serves both as
-// the recall baseline and as the correct choice for small lakes.
+// the exact flat index the lake serves from — one two-phase read path
+// (flat.go) over rows in RAM or in an on-disk segment, optionally ranked
+// first by an int8 or product-quantized tier — plus a Hierarchical Navigable
+// Small World (HNSW) graph, the sublinear approximate search the experiments
+// measure against it.
 //
-// Both implementations satisfy Index, so experiments can swap them, and both
-// are safe for concurrent use.
+// Every implementation satisfies Index, so experiments can swap them, and
+// all are safe for concurrent use.
 //
 // The read path is engineered for allocation-free, cache-friendly scans:
 // vectors live in one contiguous backing array per index (an offset per node
@@ -34,24 +36,21 @@ import (
 // init: a registry lookup per search would put map traffic and label
 // rendering on the zero-alloc hot path.
 var (
-	flatSearches    = searchCounter("flat")
-	flatCandidates  = candidateCounter("flat")
-	hnswSearches    = searchCounter("hnsw")
-	hnswCandidates  = candidateCounter("hnsw")
-	quantSearches   = searchCounter("flat_quant")
-	quantCandidates = candidateCounter("flat_quant")
-	pqSearches      = searchCounter("flat_pq")
-	pqCandidates    = candidateCounter("flat_pq")
-	diskSearches    = searchCounter("disk_flat")
-	diskCandidates  = candidateCounter("disk_flat")
+	flatKind  = annCounters("flat")
+	quantKind = annCounters("flat_quant")
+	pqKind    = annCounters("flat_pq")
+	diskKind  = annCounters("disk_flat")
+	hnswKind  = annCounters("hnsw")
 )
 
-func searchCounter(kind string) *obs.Counter {
-	return obs.Default().Counter("ann_searches_total", obs.L("kind", kind))
-}
+// annKind is the counter pair one index kind reports under.
+type annKind struct{ searches, candidates *obs.Counter }
 
-func candidateCounter(kind string) *obs.Counter {
-	return obs.Default().Counter("ann_candidates_scanned_total", obs.L("kind", kind))
+func annCounters(kind string) annKind {
+	return annKind{
+		searches:   obs.Default().Counter("ann_searches_total", obs.L("kind", kind)),
+		candidates: obs.Default().Counter("ann_candidates_scanned_total", obs.L("kind", kind)),
+	}
 }
 
 // Sentinel errors.
@@ -228,194 +227,6 @@ func (t *topK) extractAscending() []candidate {
 		t.siftDown(0, n-1)
 	}
 	return t.xs
-}
-
-// Flat is an exact linear-scan index. Vectors are stored row-major in one
-// contiguous backing array (row i at data[i*dim : (i+1)*dim]) with their
-// norms precomputed, so a scan walks memory sequentially and a Cosine
-// candidate costs exactly one dot product.
-type Flat struct {
-	metric Metric
-	mu     sync.RWMutex
-	ids    []string
-	data   []float64
-	norms  []float64
-	byID   map[string]struct{}
-	dim    int
-
-	// Optional approximate ranking tier — at most one is set. quant is the
-	// int8 tier (NewFlatQuantized), pq the product-quantized tier
-	// (NewFlatPQ); either way searches go through a two-phase approximate-
-	// scan + exact-rescore path instead of the full-precision scan. Both
-	// nil on a plain NewFlat index.
-	quant         *quantTier
-	pq            *pqTier
-	rescoreFactor int
-
-	topk      sync.Pool // *topK per-search scratch
-	qscratch  sync.Pool // *quantScratch, set when quant != nil
-	pqscratch sync.Pool // *pqScratch, set when pq != nil
-}
-
-// NewFlat returns an empty exact index.
-func NewFlat(metric Metric) *Flat {
-	f := &Flat{metric: metric, byID: make(map[string]struct{})}
-	f.topk.New = func() any { return new(topK) }
-	return f
-}
-
-// Add implements Index.
-func (f *Flat) Add(id string, v tensor.Vector) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := validateVector(v, f.dim); err != nil {
-		return err
-	}
-	if _, ok := f.byID[id]; ok {
-		return fmt.Errorf("%w: %s", ErrDuplicateID, id)
-	}
-	if f.dim == 0 {
-		f.dim = len(v)
-	}
-	f.ids = append(f.ids, id)
-	f.data = append(f.data, v...)
-	f.norms = append(f.norms, v.Norm())
-	f.byID[id] = struct{}{}
-	if f.quant != nil {
-		f.quant.add(v)
-	}
-	if f.pq != nil {
-		if f.pq.trained() {
-			f.pq.encode(v)
-		} else if len(f.ids) >= f.pq.trainRows {
-			f.trainPQLocked()
-		}
-	}
-	return nil
-}
-
-// Reserve pre-sizes the backing storage for about n upcoming vectors of
-// dimension dim, so a bulk load (lake rehydration) appends without repeated
-// reallocation of the packed vector array. It is a pure capacity hint:
-// contents and behaviour are unchanged, and n is not a cap.
-func (f *Flat) Reserve(n, dim int) {
-	if n <= 0 || dim <= 0 {
-		return
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if cap(f.ids)-len(f.ids) < n {
-		ids := make([]string, len(f.ids), len(f.ids)+n)
-		copy(ids, f.ids)
-		f.ids = ids
-		norms := make([]float64, len(f.norms), len(f.norms)+n)
-		copy(norms, f.norms)
-		f.norms = norms
-	}
-	if cap(f.data)-len(f.data) < n*dim {
-		data := make([]float64, len(f.data), len(f.data)+n*dim)
-		copy(data, f.data)
-		f.data = data
-	}
-	if f.quant != nil {
-		f.quant.reserve(n, dim)
-	}
-}
-
-// Search implements Index.
-func (f *Flat) Search(ctx context.Context, q tensor.Vector, k int) ([]Result, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	n := len(f.ids)
-	if n == 0 {
-		return nil, nil
-	}
-	if err := validateVector(q, f.dim); err != nil {
-		return nil, err
-	}
-	if k > n {
-		k = n
-	}
-	if k <= 0 {
-		flatSearches.Inc()
-		return []Result{}, nil
-	}
-	qNorm := f.metric.queryNorm(q)
-	if f.quant != nil {
-		if shortlist := k * f.rescoreFactor; shortlist < n {
-			quantSearches.Inc()
-			quantCandidates.Add(uint64(n + shortlist))
-			return f.searchQuantized(ctx, q, qNorm, k, shortlist)
-		}
-		// The shortlist would cover every row: the quantized phase cannot
-		// narrow anything, so run the plain exact scan (identity is then
-		// unconditional, not merely recall-dependent).
-	}
-	if f.pq.trained() {
-		if shortlist := k * f.rescoreFactor; shortlist < n {
-			pqSearches.Inc()
-			pqCandidates.Add(uint64(n + shortlist))
-			return f.searchPQ(ctx, q, qNorm, k, shortlist)
-		}
-		// Same degenerate case as above: a whole-index shortlist is just
-		// the exact scan. An untrained tier (population below the training
-		// threshold) also lands here.
-	}
-	flatSearches.Inc()
-	flatCandidates.Add(uint64(n))
-	t := f.topk.Get().(*topK)
-	t.reset(k, f.ids)
-	dim := f.dim
-	for i := 0; i < n; i++ {
-		if i%ctxCheckInterval == 0 && ctx != nil {
-			if err := ctx.Err(); err != nil {
-				t.release()
-				f.topk.Put(t)
-				return nil, err
-			}
-		}
-		row := f.data[i*dim : (i+1)*dim]
-		t.offer(candidate{idx: i, dist: f.metric.distFlat(q, qNorm, row, f.norms[i])})
-	}
-	sel := t.extractAscending()
-	out := make([]Result, len(sel))
-	for i, c := range sel {
-		out[i] = Result{ID: f.ids[c.idx], Distance: c.dist}
-	}
-	t.release()
-	f.topk.Put(t)
-	return out, nil
-}
-
-// Len implements Index.
-func (f *Flat) Len() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return len(f.ids)
-}
-
-// MemBytes estimates the heap retained by the index: ID strings, the
-// full-precision rows, norms, and (when quantized) the int8 tier. The same
-// 48-byte map-bucket and 16-byte string-header heuristics the keyword index
-// uses, so tier reports add up consistently.
-func (f *Flat) MemBytes() int64 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	n := idSliceBytes(f.ids) + int64(len(f.data))*8 + int64(len(f.norms))*8
-	for id := range f.byID {
-		n += int64(len(id)) + memStrHeader + memMapEntry
-	}
-	return n + f.quant.memBytes() + f.pq.memBytes()
-}
-
-// ResidentTierBytes reports the heap held by the approximate ranking tier
-// alone — int8 codes and row params, or PQ codebook plus codes. Zero on a
-// plain exact index. The scale experiment compares this number across tier
-// choices, where MemBytes would drown it in IDs and full-precision rows.
-func (f *Flat) ResidentTierBytes() int64 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.quant.memBytes() + f.pq.memBytes()
 }
 
 // MemBytes estimates the heap retained by the graph: vectors, norms, ID
@@ -765,8 +576,8 @@ func (h *HNSW) Search(ctx context.Context, q tensor.Vector, k int) ([]Result, er
 	sc := h.scratch.Get().(*searchScratch)
 	found, visited := h.searchLayer(sc, q, qNorm, []candidate{{idx: cur, dist: curDist}}, ef, 0)
 	h.scratch.Put(sc)
-	hnswSearches.Inc()
-	hnswCandidates.Add(uint64(visited))
+	hnswKind.searches.Inc()
+	hnswKind.candidates.Add(uint64(visited))
 	if k > len(found) {
 		k = len(found)
 	}

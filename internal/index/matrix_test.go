@@ -1,0 +1,437 @@
+package index
+
+// The read-path matrix: one suite over the two axes of the flat core —
+// ranking tier {none, int8, PQ} × row source {RAM, segment, segment + tail} —
+// and both metrics. Every cell runs the same checks against the full-sort
+// reference: bitwise equality (IDs, order, distance bits, exact ties), k
+// clamping, the whole-index-shortlist degenerate case, cancellation, recall
+// (factor 1 provably misses on adversarial rows, the default factor
+// recovers), parallel rescore = serial, and the allocation bound.
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"path/filepath"
+	"testing"
+
+	"modellake/internal/raceflag"
+	"modellake/internal/tensor"
+	"modellake/internal/xrand"
+)
+
+func assertBitwiseEqual(t *testing.T, label string, got, want []Result) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: len %d != %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if got[i].ID != want[i].ID ||
+			math.Float64bits(got[i].Distance) != math.Float64bits(want[i].Distance) {
+			t.Fatalf("%s pos=%d: got %v want %v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// heavyTailVecs returns vectors engineered to hurt per-row affine int8
+// quantization: one coordinate per row is inflated ~200x, so the quant grid
+// step is dominated by the outlier and the remaining coordinates collapse
+// into a handful of codes. Neighbors that differ only in small coordinates
+// become indistinguishable to the approximate phase.
+func heavyTailVecs(t *testing.T, n, dim int, seed uint64) []tensor.Vector {
+	t.Helper()
+	rng := xrand.New(seed)
+	vecs := make([]tensor.Vector, n)
+	for i := range vecs {
+		v := make(tensor.Vector, dim)
+		for j := range v {
+			v[j] = rng.NormFloat64()
+		}
+		v[rng.Intn(dim)] *= 200
+		vecs[i] = v
+	}
+	return vecs
+}
+
+// clusterClumpVecs returns vectors engineered to hurt product quantization:
+// rows bunch into tight clusters whose within-cluster offsets live in
+// coordinates the coarse subspace codebooks cannot resolve. With few, wide
+// subspaces the 256 centroids per subspace are spent separating clusters,
+// so near-neighbors inside one cluster collapse onto the same codes and the
+// ADC phase cannot order them.
+func clusterClumpVecs(t *testing.T, n, dim int, seed uint64) []tensor.Vector {
+	t.Helper()
+	rng := xrand.New(seed)
+	const clusters = 8
+	centers := make([]tensor.Vector, clusters)
+	for c := range centers {
+		v := make(tensor.Vector, dim)
+		for j := range v {
+			v[j] = rng.NormFloat64() * 10
+		}
+		centers[c] = v
+	}
+	vecs := make([]tensor.Vector, n)
+	for i := range vecs {
+		v := centers[rng.Intn(clusters)].Clone()
+		for j := range v {
+			v[j] += rng.NormFloat64() * 1e-3
+		}
+		vecs[i] = v
+	}
+	return vecs
+}
+
+const (
+	tierNone = "none"
+	tierInt8 = "int8"
+	tierPQ   = "pq"
+
+	rowsRAM     = "ram"
+	rowsSegment = "segment"
+	rowsTail    = "segment+tail"
+)
+
+type matrixCell struct {
+	tier, rows string
+	metric     Metric
+}
+
+func (c matrixCell) String() string { return fmt.Sprintf("%s/%s/metric=%d", c.tier, c.rows, c.metric) }
+
+func seqIDs(n int) []string {
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("id%04d", i)
+	}
+	return ids
+}
+
+// stages builds the cell's index over ids/vecs and hands fn every state of it
+// worth checking, with the number of rows it holds: a RAM index once, full; a
+// segment freshly built and again reopened; a segment + tail after reopening
+// a segment of the first three quarters and adding the rest (an empty
+// segment when that prefix is empty). cfg.PQSubspaces is cleared outside the
+// PQ tier; the "none" tier over a segment is a disk index with its ranking
+// tier removed — no constructor offers that corner, the core does.
+func (c matrixCell) stages(t *testing.T, cfg QuantConfig, ids []string, vecs []tensor.Vector, fn func(stage string, idx Index)) {
+	t.Helper()
+	if c.tier != tierPQ {
+		cfg.PQSubspaces = 0
+	}
+	add := func(idx Index, lo int) {
+		t.Helper()
+		for i := lo; i < len(ids); i++ {
+			if err := idx.Add(ids[i], vecs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if c.rows == rowsRAM {
+		var idx *Flat
+		switch c.tier {
+		case tierNone:
+			idx = NewFlat(c.metric)
+		case tierInt8:
+			idx = NewFlatQuantized(c.metric, cfg)
+		case tierPQ:
+			idx = NewFlatPQ(c.metric, cfg)
+		}
+		add(idx, 0)
+		fn("ram", idx)
+		return
+	}
+	built := len(ids)
+	if c.rows == rowsTail {
+		built = len(ids) * 3 / 4
+	}
+	path := filepath.Join(t.TempDir(), "vec.seg")
+	d := buildSegment(t, path, c.metric, cfg, ids[:built], vecs[:built])
+	untier := func() {
+		if c.tier == tierNone {
+			d.tier = nil
+		}
+	}
+	untier()
+	if c.rows == rowsSegment {
+		fn("built", d)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := OpenDiskFlat(path, nil, c.metric, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	untier()
+	add(d, built)
+	fn("reopened", d)
+}
+
+func coreOf(idx Index) *core {
+	if f, ok := idx.(*Flat); ok {
+		return &f.core
+	}
+	return &idx.(*DiskFlat).core
+}
+
+func TestReadPathMatrix(t *testing.T) {
+	for _, tier := range []string{tierNone, tierInt8, tierPQ} {
+		for _, rows := range []string{rowsRAM, rowsSegment, rowsTail} {
+			for _, metric := range []Metric{L2, Cosine} {
+				c := matrixCell{tier, rows, metric}
+				t.Run(c.String(), func(t *testing.T) {
+					t.Run("reference", c.testReference)
+					t.Run("ties", c.testTies)
+					t.Run("degenerate", c.testDegenerateShortlist)
+					t.Run("cancel", c.testCancelled)
+					t.Run("recall", c.testRecall)
+					t.Run("parallel", c.testParallelRescore)
+					t.Run("allocs", c.testAllocs)
+				})
+			}
+		}
+	}
+}
+
+// testReference pins the cell to the full-sort oracle across sizes (the
+// empty index included), rescore factors and k values — k ≤ 0 and k > n
+// among them. In RAM the PQ codebook trains on the whole population, the
+// shape a built segment has, which is what makes identity hold even at
+// factor 4; tail rows are coded against a codebook that never saw them, so a
+// segment + tail is held to the default factor only.
+func (c matrixCell) testReference(t *testing.T) {
+	const dim = 16
+	factors := []int{4, DefaultRescoreFactor}
+	if c.rows == rowsTail {
+		factors = factors[1:]
+	}
+	for _, factor := range factors {
+		for _, n := range []int{0, 1, 7, 100, 500} {
+			vecs := randomVecs(t, n, dim, uint64(n)*13+uint64(c.metric)+uint64(factor))
+			ids := seqIDs(n)
+			cfg := QuantConfig{RescoreFactor: factor, PQSubspaces: 8, PQTrainRows: 32, Seed: uint64(n) + 5}
+			if c.rows == rowsRAM {
+				cfg.PQTrainRows = n
+			}
+			queries := randomVecs(t, 6, dim, uint64(n)+977)
+			c.stages(t, cfg, ids, vecs, func(stage string, idx Index) {
+				if idx.Len() != n {
+					t.Fatalf("%s n=%d: Len = %d", stage, n, idx.Len())
+				}
+				for _, k := range []int{-1, 0, 1, 3, 20, n, n + 5} {
+					for qi, q := range queries {
+						got, err := idx.Search(context.Background(), q, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						label := fmt.Sprintf("%s factor=%d n=%d k=%d q=%d", stage, factor, n, k, qi)
+						if n > 0 && got == nil {
+							t.Fatalf("%s: nil result from a populated index", label)
+						}
+						assertBitwiseEqual(t, label, got, referenceSearch(c.metric, ids, vecs, q, max(k, 0)))
+					}
+				}
+			})
+		}
+	}
+}
+
+// testTies forces exact distance ties (duplicate vectors under fresh IDs).
+// Identical rows get identical tier codes, so ties survive the approximate
+// phase and the exact rescore must resolve them by ID exactly like the
+// reference sort does.
+func (c matrixCell) testTies(t *testing.T) {
+	base := randomVecs(t, 4, 8, 19)
+	var vecs []tensor.Vector
+	var ids []string
+	for copyN := 0; copyN < 5; copyN++ {
+		for bi, b := range base {
+			ids = append(ids, fmt.Sprintf("m%d-%d", bi, copyN))
+			vecs = append(vecs, b.Clone())
+		}
+	}
+	q := randomVecs(t, 1, 8, 23)[0]
+	c.stages(t, QuantConfig{PQSubspaces: 8, PQTrainRows: 8}, ids, vecs, func(stage string, idx Index) {
+		for _, k := range []int{1, 4, 7, 10, 20} {
+			got, err := idx.Search(context.Background(), q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertBitwiseEqual(t, fmt.Sprintf("%s k=%d", stage, k), got, referenceSearch(c.metric, ids, vecs, q, k))
+		}
+	})
+}
+
+// testDegenerateShortlist reads the two phases off the counters: while
+// k·factor stays below the population a ready tier scans n rows and rescores
+// the shortlist; once the shortlist would cover the index — or with no tier
+// at all — the search is the plain exact scan over n rows, reported by a RAM
+// index under the plain flat kind.
+func (c matrixCell) testDegenerateShortlist(t *testing.T) {
+	const n, dim, factor = 200, 16, 8
+	vecs := randomVecs(t, n, dim, 71)
+	ids := seqIDs(n)
+	q := randomVecs(t, 1, dim, 73)[0]
+	cfg := QuantConfig{RescoreFactor: factor, PQSubspaces: 8, PQTrainRows: 32, Seed: 9}
+	c.stages(t, cfg, ids, vecs, func(stage string, idx Index) {
+		co := coreOf(idx)
+		for _, k := range []int{1, n/factor - 1, n / factor, n} {
+			twoPhase := c.tier != tierNone && k*factor < n
+			kind, scanned := co.exact, uint64(n)
+			if twoPhase {
+				kind, scanned = co.ranked, uint64(n+k*factor)
+			}
+			searches, cands := kind.searches.Value(), kind.candidates.Value()
+			got, err := idx.Search(context.Background(), q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s k=%d", stage, k)
+			if ds, dc := kind.searches.Value()-searches, kind.candidates.Value()-cands; ds != 1 || dc != scanned {
+				t.Fatalf("%s (two-phase=%v): %d searches scanning %d candidates, want 1 scanning %d", label, twoPhase, ds, dc, scanned)
+			}
+			if !twoPhase { // identity is unconditional, not recall-dependent
+				assertBitwiseEqual(t, label, got, referenceSearch(c.metric, ids, vecs, q, k))
+			}
+		}
+	})
+}
+
+// testCancelled requires an already-cancelled context to stop the search in
+// either phase: inside the tier scan (small k) and inside the exact scan
+// (k = n, no shortlist).
+func (c matrixCell) testCancelled(t *testing.T) {
+	const n, dim = 3000, 8
+	vecs := randomVecs(t, n, dim, 41)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c.stages(t, QuantConfig{PQSubspaces: 8}, seqIDs(n), vecs, func(stage string, idx Index) {
+		for _, k := range []int{5, n} {
+			if _, err := idx.Search(ctx, vecs[0], k); err != context.Canceled {
+				t.Fatalf("%s k=%d: err = %v, want context.Canceled", stage, k, err)
+			}
+		}
+		if _, err := idx.Search(context.Background(), vecs[0], 5); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// testRecall is the recall safety net of a ranking tier. On rows built to
+// defeat it — heavy tails for int8, tight clumps for PQ — a shortlist of
+// exactly k (RescoreFactor 1) provably misses part of the true top-k; at
+// least one such miss is required, proving the construction has teeth, while
+// the default over-fetch must return bitwise-exact results on the very same
+// rows and queries.
+func (c matrixCell) testRecall(t *testing.T) {
+	if c.tier == tierNone {
+		t.Skip("no ranking tier, no shortlist to miss from")
+	}
+	const n, k, attempts = 400, 10, 50
+	for seed := uint64(1); seed <= attempts; seed++ {
+		dim, vecs := 8, heavyTailVecs(t, n, 8, seed)
+		if c.tier == tierPQ {
+			dim, vecs = 32, clusterClumpVecs(t, n, 32, seed)
+		}
+		ids := seqIDs(n)
+		queries := randomVecs(t, 10, dim, seed+7777)
+		cfg := QuantConfig{PQSubspaces: 2, PQTrainRows: 64, Seed: seed}
+		c.stages(t, cfg, ids, vecs, func(stage string, idx Index) {
+			for qi, q := range queries {
+				got, err := idx.Search(context.Background(), q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertBitwiseEqual(t, fmt.Sprintf("%s seed=%d q=%d (default factor)", stage, seed, qi),
+					got, referenceSearch(c.metric, ids, vecs, q, k))
+			}
+		})
+		missed := false
+		cfg.RescoreFactor = 1
+		c.stages(t, cfg, ids, vecs, func(stage string, idx Index) {
+			for _, q := range queries {
+				got, err := idx.Search(context.Background(), q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, want := range referenceSearch(c.metric, ids, vecs, q, k) {
+					missed = missed || got[i].ID != want.ID
+				}
+			}
+		})
+		if missed {
+			return
+		}
+	}
+	t.Fatalf("no recall miss at RescoreFactor=1 in %d adversarial lakes; construction lost its teeth", attempts)
+}
+
+// testParallelRescore forces the parallel exact-rescore at tiny shortlists
+// and requires bitwise-identical results at every worker count — the
+// disjoint-write + serial-offer discipline is what keeps the identity
+// guarantee intact above the parallelism threshold. Only in-RAM rows fan
+// out; a segment cell pins that its preads stay serial and unchanged.
+func (c matrixCell) testParallelRescore(t *testing.T) {
+	if c.tier == tierNone {
+		t.Skip("no ranking tier, no shortlist to rescore")
+	}
+	oldThresh, oldWorkers := rescoreParallelThreshold, rescoreMaxWorkers
+	defer func() { rescoreParallelThreshold, rescoreMaxWorkers = oldThresh, oldWorkers }()
+
+	const n, dim, k = 700, 16, 9
+	vecs := randomVecs(t, n, dim, 321)
+	queries := randomVecs(t, 6, dim, 654)
+	cfg := QuantConfig{PQSubspaces: 4, PQTrainRows: 64, Seed: 3}
+	c.stages(t, cfg, seqIDs(n), vecs, func(stage string, idx Index) {
+		rescoreParallelThreshold, rescoreMaxWorkers = 1<<30, 1 // serial baseline
+		want := make([][]Result, len(queries))
+		for qi, q := range queries {
+			res, err := idx.Search(context.Background(), q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[qi] = res
+		}
+		rescoreParallelThreshold = 1 // every shortlist takes the parallel path
+		for _, workers := range []int{2, 3, 5, 8} {
+			rescoreMaxWorkers = workers
+			for qi, q := range queries {
+				got, err := idx.Search(context.Background(), q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertBitwiseEqual(t, fmt.Sprintf("%s workers=%d q=%d", stage, workers, qi), got, want[qi])
+			}
+		}
+	})
+}
+
+// testAllocs pins the pooled read path: after warm-up a search allocates
+// only the result slice, whatever the tier and wherever the rows live. The
+// bound is deliberately tight — doubling it is the signal the property has
+// been lost.
+func (c matrixCell) testAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; bounds only hold in normal builds")
+	}
+	const n, dim = 2000, 32
+	vecs := randomVecs(t, n, dim, 61)
+	q := randomVecs(t, 1, dim, 67)[0]
+	ctx := context.Background()
+	c.stages(t, QuantConfig{PQSubspaces: DefaultPQSubspaces}, seqIDs(n), vecs, func(stage string, idx Index) {
+		for i := 0; i < 5; i++ { // warm the scratch pool
+			if _, err := idx.Search(ctx, q, 10); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if a := testing.AllocsPerRun(100, func() {
+			if _, err := idx.Search(ctx, q, 10); err != nil {
+				t.Fatal(err)
+			}
+		}); a > 2 {
+			t.Fatalf("%s: %v allocs/op, want <= 2", stage, a)
+		}
+	})
+}

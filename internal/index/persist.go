@@ -1,8 +1,14 @@
 package index
 
+// DiskFlat, the disk-resident flat index behind the atlas-scale read path
+// (DESIGN.md §12): the core of flat.go with its full-precision rows in a
+// fixed-stride, page-cache-friendly MLVF1 segment, pread back only to
+// exact-rescore the shortlist the in-RAM ranking tier selects. This file is
+// the segment format, its crash-safe publish, and the build / open / spill
+// that move rows into it.
+
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,197 +17,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"modellake/internal/fault"
-	"modellake/internal/tensor"
 )
-
-// Binary persistence for HNSW graphs, so large indexes do not have to be
-// rebuilt (E4 shows builds are ~1000× more expensive than searches). Format:
-// header (magic, metric, config, dims, entry, maxLevel, node count), then
-// per node: id, vector, per-level link lists. All little-endian.
-//
-// The second half of this file is DiskFlat, the disk-resident flat index
-// behind the atlas-scale read path (DESIGN.md §12): full-precision rows stay
-// on disk in a fixed-stride, page-cache-friendly segment and are only read
-// back — via pread windows — to exact-rescore the shortlist an in-RAM int8
-// quantized tier selects.
-
-const hnswMagic uint32 = 0x484e5357 // "HNSW"
-
-// Save writes the index to w. The index is read-locked for the duration.
-func (h *HNSW) Save(w io.Writer) error {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	bw := bufio.NewWriter(w)
-	writeU32 := func(v uint32) { binary.Write(bw, binary.LittleEndian, v) }
-	writeU64 := func(v uint64) { binary.Write(bw, binary.LittleEndian, v) }
-
-	writeU32(hnswMagic)
-	writeU32(uint32(h.metric))
-	writeU32(uint32(h.cfg.M))
-	writeU32(uint32(h.cfg.EfConstruction))
-	writeU32(uint32(h.cfg.EfSearch))
-	writeU64(h.cfg.Seed)
-	writeU32(uint32(h.dim))
-	writeU32(uint32(int32(h.entry)))
-	writeU32(uint32(h.maxLevel))
-	writeU32(uint32(len(h.nodes)))
-	for i, n := range h.nodes {
-		writeU32(uint32(len(n.id)))
-		bw.WriteString(n.id)
-		for _, v := range h.vecData[i*h.dim : (i+1)*h.dim] {
-			writeU64(math.Float64bits(v))
-		}
-		writeU32(uint32(len(n.links)))
-		for _, links := range n.links {
-			writeU32(uint32(len(links)))
-			for _, nb := range links {
-				writeU32(uint32(nb))
-			}
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("index: save: %w", err)
-	}
-	return nil
-}
-
-// LoadHNSW reads an index previously written with Save. The RNG resumes from
-// the persisted seed, so a loaded index keeps accepting inserts (level
-// assignment stays deterministic per process, though not identical to an
-// uninterrupted build).
-func LoadHNSW(r io.Reader) (*HNSW, error) {
-	br := bufio.NewReader(r)
-	readU32 := func() (uint32, error) {
-		var v uint32
-		err := binary.Read(br, binary.LittleEndian, &v)
-		return v, err
-	}
-	readU64 := func() (uint64, error) {
-		var v uint64
-		err := binary.Read(br, binary.LittleEndian, &v)
-		return v, err
-	}
-	magic, err := readU32()
-	if err != nil {
-		return nil, fmt.Errorf("index: load header: %w", err)
-	}
-	if magic != hnswMagic {
-		return nil, fmt.Errorf("index: bad HNSW magic %#x", magic)
-	}
-	metric, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	m, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	efC, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	efS, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	seed, err := readU64()
-	if err != nil {
-		return nil, err
-	}
-	dim, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	entry, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	maxLevel, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	count, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	const maxNodes = 1 << 28
-	if count > maxNodes || dim > 1<<20 || maxLevel > 64 {
-		return nil, fmt.Errorf("index: implausible header (count=%d dim=%d maxLevel=%d)",
-			count, dim, maxLevel)
-	}
-	h := NewHNSW(Metric(metric), HNSWConfig{
-		M: int(m), EfConstruction: int(efC), EfSearch: int(efS), Seed: seed,
-	})
-	h.dim = int(dim)
-	h.entry = int(int32(entry))
-	h.maxLevel = int(maxLevel)
-	h.nodes = make([]hnswNode, count)
-	h.vecData = make([]float64, int(count)*int(dim))
-	h.norms = make([]float64, count)
-	for i := range h.nodes {
-		idLen, err := readU32()
-		if err != nil {
-			return nil, fmt.Errorf("index: load node %d: %w", i, err)
-		}
-		if idLen > 1<<16 {
-			return nil, fmt.Errorf("index: implausible id length %d", idLen)
-		}
-		idBuf := make([]byte, idLen)
-		if _, err := io.ReadFull(br, idBuf); err != nil {
-			return nil, fmt.Errorf("index: load node %d id: %w", i, err)
-		}
-		id := string(idBuf)
-		if _, dup := h.byID[id]; dup {
-			return nil, fmt.Errorf("index: duplicate id %q in stream", id)
-		}
-		vec := h.vecData[i*int(dim) : (i+1)*int(dim)]
-		for j := range vec {
-			bits, err := readU64()
-			if err != nil {
-				return nil, fmt.Errorf("index: load node %d vector: %w", i, err)
-			}
-			vec[j] = math.Float64frombits(bits)
-		}
-		h.norms[i] = tensor.Vector(vec).Norm()
-		nLevels, err := readU32()
-		if err != nil {
-			return nil, err
-		}
-		if nLevels > 64 {
-			return nil, fmt.Errorf("index: implausible level count %d", nLevels)
-		}
-		links := make([][]int32, nLevels)
-		for l := range links {
-			nLinks, err := readU32()
-			if err != nil {
-				return nil, err
-			}
-			if nLinks > count {
-				return nil, fmt.Errorf("index: node %d level %d has %d links > %d nodes", i, l, nLinks, count)
-			}
-			links[l] = make([]int32, nLinks)
-			for k := range links[l] {
-				nb, err := readU32()
-				if err != nil {
-					return nil, err
-				}
-				if nb >= count {
-					return nil, fmt.Errorf("index: link to node %d out of range", nb)
-				}
-				links[l][k] = int32(nb)
-			}
-		}
-		h.nodes[i] = hnswNode{id: id, links: links}
-		h.byID[id] = i
-	}
-	if count > 0 && (h.entry < 0 || h.entry >= int(count)) {
-		return nil, fmt.Errorf("index: entry point %d out of range", h.entry)
-	}
-	return h, nil
-}
 
 // DiskFlat segment format, all little-endian:
 //
@@ -325,248 +143,194 @@ func decodeDiskHeader(buf []byte) (*diskHeader, error) {
 	return h, nil
 }
 
-// DiskFlat is the disk-resident exact index: an int8 quantized tier and the
-// row norms live in RAM (9 bytes per component-row plus a few words per
-// row), while the full-precision float64 rows stay in the on-disk segment
-// and are pread back only to rescore the quantized shortlist. Search results
-// are bitwise identical to an in-RAM Flat over the same vectors whenever the
-// true top-k survives the shortlist cut — and unconditionally when the
-// shortlist covers the whole index.
-//
-// Rows added after Open/Build live in an in-RAM full-precision tail; they
-// are not written back to the segment (the lake's durable vec records are
-// the source of truth, and the segment is rebuilt from them on the next
-// reopen). DiskFlat is safe for concurrent use.
 // DefaultSpillTailRows is the in-RAM tail bound a disk-resident index uses
 // when its config leaves QuantConfig.SpillTailRows unset: after that many
 // post-open Adds the tail is compacted into a fresh on-disk segment.
 const DefaultSpillTailRows = 4096
 
-type DiskFlat struct {
-	metric        Metric
-	cfg           QuantConfig // defaults applied; spills rebuild under it
-	rescoreFactor int
-	spillRows     int       // tail rows that trigger compaction; <=0 never
-	path          string    // published segment path, target of spills
-	fs            *fault.FS // filesystem the segment IO routes through
+// DiskFlat is the disk-resident exact index: the ranking tier (int8, or PQ
+// when cfg.PQSubspaces > 0) and the row norms live in RAM, while the
+// full-precision float64 rows stay in the on-disk segment and are pread back
+// only to rescore the shortlist. Search results are bitwise identical to an
+// in-RAM Flat over the same vectors whenever the true top-k survives the
+// shortlist cut — and unconditionally when the shortlist covers the whole
+// index.
+//
+// Rows added after Open/Build live in a bounded in-RAM full-precision tail
+// that Add compacts into the segment at the spill threshold. The caller's
+// durable store remains the source of truth: the segment is derived state,
+// rebuilt on any damage. DiskFlat is safe for concurrent use.
+type DiskFlat struct{ core }
 
-	mu      sync.RWMutex
-	f       *fault.File // open segment, pread source for rescore windows
-	closed  bool
-	segN    int // rows in the on-disk segment
-	dim     int
-	dataOff int64
-	ids     []string
-	byID    map[string]struct{}
-	norms   []float64
-	quant   *quantTier // int8 ranking tier; nil in PQ mode
-	pq      *pqTier    // PQ ranking tier; nil in int8 mode
-	tail    []float64  // rows added after open, full precision, row-major
-	idsCRC  uint64
-	dataCRC uint64
-
-	scratch sync.Pool // *diskScratch
-}
-
-// diskScratch is the pooled per-search state: the quantized query (or PQ
-// query LUT), both selectors, and the pread window buffers a rescore decodes
-// rows into.
-type diskScratch struct {
-	qq    quantQuery
-	lut   []float64
-	short topK
-	sel   topK
-	buf   []byte
-	row   []float64
-}
-
-func newDiskFlat(metric Metric, cfg QuantConfig) *DiskFlat {
+func newDiskFlat(path string, fs *fault.FS, metric Metric, cfg QuantConfig) *DiskFlat {
 	cfg = cfg.withDefaults()
-	d := &DiskFlat{
-		metric:        metric,
-		cfg:           cfg,
-		rescoreFactor: cfg.RescoreFactor,
-		spillRows:     cfg.SpillTailRows,
-		byID:          make(map[string]struct{}),
-	}
+	var tier rankTier = &quantTier{}
 	if cfg.PQSubspaces > 0 {
-		d.pq = newPQTier(cfg)
-	} else {
-		d.quant = &quantTier{}
+		tier = newPQTier(cfg)
 	}
-	d.scratch.New = func() any { return new(diskScratch) }
+	d := new(DiskFlat)
+	d.init(metric, diskKind, diskKind, tier, cfg.RescoreFactor)
+	d.spillRows, d.path, d.fs = cfg.SpillTailRows, path, fs
 	return d
 }
 
-// BuildDiskFlat writes a segment holding the given rows to path and returns
-// the open index over it. The write is crash-safe in the blob-store style:
-// everything goes to a temp file in path's directory (header placeholder,
-// ids, zero pad, then the rows streamed through row(i) one at a time), the
-// finalized header is written only after the last row, and the file reaches
-// path by fsync + rename + directory fsync. All IO routes through fs, so
-// the crash-window sweep in the fault package applies; a nil fs uses the
-// real filesystem. The in-RAM int8 tier and norms are built during the
-// write, so the returned index never re-reads the segment; a PQ-mode build
-// (cfg.PQSubspaces > 0) collects its bounded training sample during the
-// write, trains after publish, and encodes the rows with one extra
-// sequential pass, then persists codebook+codes in a crash-safe side file
-// next to the segment.
-func BuildDiskFlat(path string, fs *fault.FS, metric Metric, cfg QuantConfig, ids []string, row func(i int) []float64) (*DiskFlat, error) {
-	return buildDiskFlat(path, fs, metric, cfg, ids, row, nil)
+// publish writes a file crash-safely in the blob-store style: write fills a
+// temp file in path's directory, which reaches path by fsync + rename +
+// directory fsync. The temp file is removed on every failure, so a crash or
+// error at any point leaves either nothing or the previous file at path.
+// The directory must exist: a segment build creates it, and a side file is
+// only ever written next to a published segment.
+func publish(fs *fault.FS, path, tmpPattern string, write func(*fault.File) error) error {
+	dir, name := filepath.Dir(path), filepath.Base(path)
+	tmp, err := fs.CreateTemp(dir, tmpPattern)
+	if err != nil {
+		return fmt.Errorf("index: %s temp: %w", name, err)
+	}
+	tmpName := tmp.Name()
+	err = write(tmp)
+	if err == nil {
+		if err = tmp.Sync(); err != nil {
+			err = fmt.Errorf("index: %s sync: %w", name, err)
+		}
+	}
+	if err != nil {
+		tmp.Close()
+		os.Remove(tmpName)
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		os.Remove(tmpName)
+		return fmt.Errorf("index: %s close: %w", name, err)
+	}
+	if err := fs.Rename(tmpName, path); err != nil {
+		os.Remove(tmpName)
+		return fmt.Errorf("index: %s publish: %w", name, err)
+	}
+	if err := fs.SyncDir(dir); err != nil {
+		return fmt.Errorf("index: %s dir sync: %w", name, err)
+	}
+	return nil
 }
 
-// buildDiskFlat is BuildDiskFlat plus tier reuse: a spill passes the
-// already-trained PQ tier (whose codes cover every current row) so
-// compaction does not retrain, only rebinds the side file to the new
-// segment's checksums.
-func buildDiskFlat(path string, fs *fault.FS, metric Metric, cfg QuantConfig, ids []string, row func(i int) []float64, reusePQ *pqTier) (*DiskFlat, error) {
-	d := newDiskFlat(metric, cfg)
-	dim := 0
-	if len(ids) > 0 {
-		dim = len(row(0))
-	}
-	d.dim = dim
-	if d.quant != nil {
-		d.quant.dim = dim
-	}
-	var pqIdxs []int
-	var pqSample []float64
-	pqNext := 0
-	if d.pq != nil && reusePQ == nil && len(ids) >= d.pq.trainRows {
-		pqIdxs = pqSampleIndices(len(ids))
-		pqSample = make([]float64, 0, len(pqIdxs)*dim)
-	}
+// writeSegment publishes a segment holding ids and the dim-wide rows row(i)
+// yields — called once per i, in order, streamed one at a time — and returns
+// its header. The header slot is written as zeros first and the real bytes
+// only after every row landed, so until then the file is self-evidently
+// invalid. All IO routes through fs, so the crash-window sweep in the fault
+// package applies; a nil fs uses the real filesystem.
+func writeSegment(fs *fault.FS, path string, metric Metric, dim int, ids []string, row func(i int) ([]float64, error)) (*diskHeader, error) {
 	idsSec := encodeIDSection(ids)
 	dataOff := int64(diskHeaderSize + len(idsSec))
 	if rem := dataOff % diskAlign; rem != 0 {
 		dataOff += diskAlign - rem
 	}
-
-	dir := filepath.Dir(path)
-	if err := fs.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("index: segment dir: %w", err)
-	}
-	tmp, err := fs.CreateTemp(dir, ".seg-*")
-	if err != nil {
-		return nil, fmt.Errorf("index: segment temp: %w", err)
-	}
-	tmpName := tmp.Name()
-	fail := func(err error) (*DiskFlat, error) {
-		tmp.Close()
-		os.Remove(tmpName)
-		return nil, err
-	}
-
-	// Placeholder header + ids + padding in one write: until the real
-	// header lands at the end, the file is self-evidently invalid.
-	prefix := make([]byte, dataOff)
-	copy(prefix[diskHeaderSize:], idsSec)
-	if _, err := tmp.Write(prefix); err != nil {
-		return fail(fmt.Errorf("index: segment prefix: %w", err))
-	}
-
-	// Stream the rows through a chunk buffer, folding each into the data
-	// CRC and the in-RAM tier as it goes.
-	var dataCRC uint64
-	chunk := make([]byte, 0, 1<<20)
-	seen := make(map[string]struct{}, len(ids))
-	for i, id := range ids {
-		if _, dup := seen[id]; dup {
-			return fail(fmt.Errorf("%w: %s", ErrDuplicateID, id))
-		}
-		seen[id] = struct{}{}
-		r := row(i)
-		if err := validateVector(r, dim); err != nil {
-			return fail(fmt.Errorf("index: segment row %d: %w", i, err))
-		}
-		start := len(chunk)
-		chunk = append(chunk, make([]byte, dim*8)...)
-		for j, x := range r {
-			binary.LittleEndian.PutUint64(chunk[start+j*8:], math.Float64bits(x))
-		}
-		d.norms = append(d.norms, tensor.Vector(r).Norm())
-		if d.quant != nil {
-			d.quant.add(r)
-		}
-		if pqIdxs != nil && pqNext < len(pqIdxs) && pqIdxs[pqNext] == i {
-			pqSample = append(pqSample, r...)
-			pqNext++
-		}
-		if len(chunk)+dim*8 > cap(chunk) {
-			dataCRC = crc64.Update(dataCRC, crcTable, chunk)
-			if _, err := tmp.Write(chunk); err != nil {
-				return fail(fmt.Errorf("index: segment rows: %w", err))
-			}
-			chunk = chunk[:0]
-		}
-	}
-	if len(chunk) > 0 {
-		dataCRC = crc64.Update(dataCRC, crcTable, chunk)
-		if _, err := tmp.Write(chunk); err != nil {
-			return fail(fmt.Errorf("index: segment rows: %w", err))
-		}
-	}
-
-	hdr := diskHeader{
+	hdr := &diskHeader{
 		metric: uint32(metric), dim: uint32(dim),
 		count: uint64(len(ids)), idsLen: uint64(len(idsSec)),
 		dataOff: uint64(dataOff),
-		idsCRC:  crc64.Checksum(idsSec, crcTable), dataCRC: dataCRC,
+		idsCRC:  crc64.Checksum(idsSec, crcTable),
 	}
-	if _, err := tmp.Seek(0, io.SeekStart); err != nil {
-		return fail(fmt.Errorf("index: segment header seek: %w", err))
+	if err := fs.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return nil, fmt.Errorf("index: segment dir: %w", err)
 	}
-	if _, err := tmp.Write(hdr.encode()); err != nil {
-		return fail(fmt.Errorf("index: segment header: %w", err))
+	err := publish(fs, path, ".seg-*", func(tmp *fault.File) error {
+		prefix := make([]byte, dataOff)
+		copy(prefix[diskHeaderSize:], idsSec)
+		if _, err := tmp.Write(prefix); err != nil {
+			return fmt.Errorf("index: segment prefix: %w", err)
+		}
+		// Stream the rows through a chunk buffer, folding each into the
+		// data CRC as it goes.
+		chunk := make([]byte, 0, 1<<20)
+		flush := func() error {
+			hdr.dataCRC = crc64.Update(hdr.dataCRC, crcTable, chunk)
+			if _, err := tmp.Write(chunk); err != nil {
+				return fmt.Errorf("index: segment rows: %w", err)
+			}
+			chunk = chunk[:0]
+			return nil
+		}
+		for i := range ids {
+			r, err := row(i)
+			if err != nil {
+				return err
+			}
+			for _, x := range r {
+				chunk = binary.LittleEndian.AppendUint64(chunk, math.Float64bits(x))
+			}
+			if len(chunk)+dim*8 > cap(chunk) {
+				if err := flush(); err != nil {
+					return err
+				}
+			}
+		}
+		if len(chunk) > 0 {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+		if _, err := tmp.Seek(0, io.SeekStart); err != nil {
+			return fmt.Errorf("index: segment header seek: %w", err)
+		}
+		if _, err := tmp.Write(hdr.encode()); err != nil {
+			return fmt.Errorf("index: segment header: %w", err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if err := tmp.Sync(); err != nil {
-		return fail(fmt.Errorf("index: segment sync: %w", err))
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return nil, fmt.Errorf("index: segment close: %w", err)
-	}
-	if err := fs.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return nil, fmt.Errorf("index: segment publish: %w", err)
-	}
-	if err := fs.SyncDir(dir); err != nil {
-		return nil, fmt.Errorf("index: segment dir sync: %w", err)
-	}
+	return hdr, nil
+}
 
+// attach points the core at the validated or freshly published segment f
+// described by hdr.
+func (c *core) attach(f *fault.File, hdr *diskHeader) {
+	c.f = f
+	c.segN = int(hdr.count)
+	c.dataOff = int64(hdr.dataOff)
+	c.idsCRC, c.dataCRC = hdr.idsCRC, hdr.dataCRC
+}
+
+// BuildDiskFlat writes a segment holding the given rows to path (see
+// writeSegment for the crash-safety argument) and returns the open index
+// over it. Norms and the in-RAM ranking tier are built during the write; a
+// PQ-mode build (cfg.PQSubspaces > 0) with enough rows then trains its
+// codebook from the published rows and persists codebook+codes in a
+// crash-safe side file next to the segment. A build that cannot publish its
+// side file fails whole, so "reported success" covers the side file too.
+func BuildDiskFlat(path string, fs *fault.FS, metric Metric, cfg QuantConfig, ids []string, row func(i int) []float64) (*DiskFlat, error) {
+	d := newDiskFlat(path, fs, metric, cfg)
+	if len(ids) > 0 {
+		d.dim = len(row(0))
+	}
+	hdr, err := writeSegment(fs, path, metric, d.dim, ids, func(i int) ([]float64, error) {
+		r := row(i)
+		if err := validateVector(r, d.dim); err != nil {
+			return nil, fmt.Errorf("index: segment row %d: %w", i, err)
+		}
+		if err := d.addID(ids[i]); err != nil {
+			return nil, err
+		}
+		d.absorb(r)
+		return r, nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	f, err := fs.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, fmt.Errorf("index: segment reopen: %w", err)
 	}
-	d.f = f
-	d.segN = len(ids)
-	d.dataOff = dataOff
-	d.ids = append([]string(nil), ids...)
-	for _, id := range d.ids {
-		d.byID[id] = struct{}{}
+	d.attach(f, hdr)
+	if err := d.trainPQ(); err != nil {
+		f.Close()
+		return nil, err
 	}
-	d.idsCRC, d.dataCRC = hdr.idsCRC, hdr.dataCRC
-	d.path, d.fs = path, fs
-	if d.pq != nil {
-		if reusePQ != nil {
-			d.pq = reusePQ
-		} else if pqIdxs != nil {
-			d.pq.trainFrom(pqSample, len(pqIdxs), dim, 0)
-			if err := d.pqEncodeSegment(); err != nil {
-				f.Close()
-				return nil, err
-			}
-		}
-		// Persist the trained tier next to the new segment; a build that
-		// cannot publish its side file fails whole, so the crash sweep's
-		// "reported success" invariant covers the side file too. (An
-		// untrained tier — population below the threshold — has nothing
-		// to persist.)
-		if d.pq.trained() {
-			if err := d.writePQSideFile(); err != nil {
-				f.Close()
-				return nil, err
-			}
+	if p := d.pq(); p.ready() {
+		if err := writePQSideFile(fs, path, hdr, p); err != nil {
+			f.Close()
+			return nil, err
 		}
 	}
 	return d, nil
@@ -575,7 +339,7 @@ func buildDiskFlat(path string, fs *fault.FS, metric Metric, cfg QuantConfig, id
 // OpenDiskFlat opens and fully validates a segment previously written by
 // BuildDiskFlat: header checksum, configuration match, exact file size, ids
 // checksum, and a sequential pass over every row that verifies the data
-// checksum while rebuilding the in-RAM quantized tier and norms. Any
+// checksum while rebuilding the in-RAM ranking tier and norms. Any
 // mismatch — torn header, truncated rows, flipped bytes, different metric —
 // fails with an error wrapping ErrBadSegment; a validated open keeps the
 // file handle for pread rescore windows.
@@ -584,67 +348,60 @@ func OpenDiskFlat(path string, fs *fault.FS, metric Metric, cfg QuantConfig) (*D
 	if err != nil {
 		return nil, fmt.Errorf("index: open segment: %w", err)
 	}
-	d, err := loadDiskFlat(f, path, fs, metric, cfg)
-	if err != nil {
+	d := newDiskFlat(path, fs, metric, cfg)
+	if err := d.load(f); err != nil {
 		f.Close()
 		return nil, err
 	}
 	return d, nil
 }
 
-func loadDiskFlat(f *fault.File, path string, fs *fault.FS, metric Metric, cfg QuantConfig) (*DiskFlat, error) {
+func (d *DiskFlat) load(f *fault.File) error {
 	hbuf := make([]byte, diskHeaderSize)
 	if _, err := io.ReadFull(f, hbuf); err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrBadSegment, err)
+		return fmt.Errorf("%w: header: %v", ErrBadSegment, err)
 	}
 	hdr, err := decodeDiskHeader(hbuf)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if Metric(hdr.metric) != metric {
-		return nil, fmt.Errorf("%w: metric %d != configured %d", ErrBadSegment, hdr.metric, metric)
+	if Metric(hdr.metric) != d.metric {
+		return fmt.Errorf("%w: metric %d != configured %d", ErrBadSegment, hdr.metric, d.metric)
 	}
 	st, err := f.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("index: segment stat: %w", err)
+		return fmt.Errorf("index: segment stat: %w", err)
 	}
 	wantSize := int64(hdr.dataOff) + int64(hdr.count)*int64(hdr.dim)*8
 	if st.Size() != wantSize {
-		return nil, fmt.Errorf("%w: size %d != %d", ErrBadSegment, st.Size(), wantSize)
+		return fmt.Errorf("%w: size %d != %d", ErrBadSegment, st.Size(), wantSize)
 	}
 
 	idsSec := make([]byte, hdr.idsLen)
 	if _, err := io.ReadFull(f, idsSec); err != nil {
-		return nil, fmt.Errorf("%w: ids section: %v", ErrBadSegment, err)
+		return fmt.Errorf("%w: ids section: %v", ErrBadSegment, err)
 	}
 	if got := crc64.Checksum(idsSec, crcTable); got != hdr.idsCRC {
-		return nil, fmt.Errorf("%w: ids checksum mismatch", ErrBadSegment)
+		return fmt.Errorf("%w: ids checksum mismatch", ErrBadSegment)
 	}
-	d := newDiskFlat(metric, cfg)
 	d.dim = int(hdr.dim)
-	if d.quant != nil {
-		d.quant.dim = d.dim
-	}
-	d.ids = make([]string, 0, hdr.count)
+	d.reserve(int(hdr.count), d.dim)
 	for off := 0; off < len(idsSec); {
 		if off+4 > len(idsSec) {
-			return nil, fmt.Errorf("%w: truncated id length", ErrBadSegment)
+			return fmt.Errorf("%w: truncated id length", ErrBadSegment)
 		}
 		n := int(binary.LittleEndian.Uint32(idsSec[off:]))
 		off += 4
 		if n < 0 || off+n > len(idsSec) {
-			return nil, fmt.Errorf("%w: truncated id", ErrBadSegment)
+			return fmt.Errorf("%w: truncated id", ErrBadSegment)
 		}
-		id := string(idsSec[off : off+n])
+		if err := d.addID(string(idsSec[off : off+n])); err != nil {
+			return fmt.Errorf("%w: %v", ErrBadSegment, err)
+		}
 		off += n
-		if _, dup := d.byID[id]; dup {
-			return nil, fmt.Errorf("%w: duplicate id %q", ErrBadSegment, id)
-		}
-		d.ids = append(d.ids, id)
-		d.byID[id] = struct{}{}
 	}
 	if uint64(len(d.ids)) != hdr.count {
-		return nil, fmt.Errorf("%w: %d ids != count %d", ErrBadSegment, len(d.ids), hdr.count)
+		return fmt.Errorf("%w: %d ids != count %d", ErrBadSegment, len(d.ids), hdr.count)
 	}
 
 	// The alignment pad between the ids section and the rows is written as
@@ -652,80 +409,54 @@ func loadDiskFlat(f *fault.File, path string, fs *fault.FS, metric Metric, cfg Q
 	// segment is valid only if it is exactly what the build wrote.
 	pad := make([]byte, int64(hdr.dataOff)-diskHeaderSize-int64(hdr.idsLen))
 	if _, err := io.ReadFull(f, pad); err != nil {
-		return nil, fmt.Errorf("%w: padding: %v", ErrBadSegment, err)
+		return fmt.Errorf("%w: padding: %v", ErrBadSegment, err)
 	}
 	for _, b := range pad {
 		if b != 0 {
-			return nil, fmt.Errorf("%w: nonzero padding byte", ErrBadSegment)
+			return fmt.Errorf("%w: nonzero padding byte", ErrBadSegment)
 		}
 	}
 
 	// One sequential pass over the rows: verify the data checksum while
-	// building the quantized tier and norms.
-	if _, err := f.Seek(int64(hdr.dataOff), io.SeekStart); err != nil {
-		return nil, fmt.Errorf("index: segment seek: %w", err)
-	}
+	// building the ranking tier and norms.
 	br := bufio.NewReaderSize(f, 1<<20)
-	stride := d.dim * 8
-	rowBuf := make([]byte, stride)
+	rowBuf := make([]byte, d.dim*8)
 	row := make([]float64, d.dim)
 	var dataCRC uint64
-	d.norms = make([]float64, 0, hdr.count)
-	if d.quant != nil {
-		d.quant.reserve(int(hdr.count), d.dim)
-	}
-	var pqIdxs []int
-	var pqSample []float64
-	pqNext := 0
-	if d.pq != nil && int(hdr.count) >= d.pq.trainRows {
-		pqIdxs = pqSampleIndices(int(hdr.count))
-		pqSample = make([]float64, 0, len(pqIdxs)*d.dim)
-	}
 	for i := 0; i < int(hdr.count); i++ {
 		if _, err := io.ReadFull(br, rowBuf); err != nil {
-			return nil, fmt.Errorf("%w: row %d: %v", ErrBadSegment, i, err)
+			return fmt.Errorf("%w: row %d: %v", ErrBadSegment, i, err)
 		}
 		dataCRC = crc64.Update(dataCRC, crcTable, rowBuf)
 		for j := range row {
 			row[j] = math.Float64frombits(binary.LittleEndian.Uint64(rowBuf[j*8:]))
 		}
 		if err := validateVector(row, d.dim); err != nil {
-			return nil, fmt.Errorf("%w: row %d: %v", ErrBadSegment, i, err)
+			return fmt.Errorf("%w: row %d: %v", ErrBadSegment, i, err)
 		}
-		d.norms = append(d.norms, tensor.Vector(row).Norm())
-		if d.quant != nil {
-			d.quant.add(row)
-		}
-		if pqIdxs != nil && pqNext < len(pqIdxs) && pqIdxs[pqNext] == i {
-			pqSample = append(pqSample, row...)
-			pqNext++
-		}
+		d.absorb(row)
 	}
 	if dataCRC != hdr.dataCRC {
-		return nil, fmt.Errorf("%w: data checksum mismatch", ErrBadSegment)
+		return fmt.Errorf("%w: data checksum mismatch", ErrBadSegment)
 	}
-	d.f = f
-	d.segN = int(hdr.count)
-	d.dataOff = int64(hdr.dataOff)
-	d.idsCRC, d.dataCRC = hdr.idsCRC, hdr.dataCRC
-	d.path, d.fs = path, fs
+	d.attach(f, hdr)
 
 	// PQ adoption: the side file is pure derived acceleration, never
 	// trusted further than its checksums. A valid one (bound to exactly
 	// this segment's count and CRCs) restores codebook and codes without
 	// retraining; anything else — missing, torn, stale, differently
-	// configured — retrains from the sample just collected and re-encodes
-	// the rows with one sequential pass, then republishes the side file on
-	// a best-effort basis (an open must not fail because an acceleration
-	// file could not be rewritten).
-	if pqIdxs != nil && !d.adoptPQSideFile() {
-		d.pq.trainFrom(pqSample, len(pqIdxs), d.dim, 0)
-		if err := d.pqEncodeSegment(); err != nil {
-			return nil, err
+	// configured — retrains from the verified rows, then republishes the
+	// side file on a best-effort basis (an open must not fail because an
+	// acceleration file could not be rewritten).
+	if p := d.pq(); p != nil && !d.adoptPQSideFile() {
+		if err := d.trainPQ(); err != nil {
+			return err
 		}
-		_ = d.writePQSideFile()
+		if p.ready() {
+			_ = writePQSideFile(d.fs, d.path, hdr, p)
+		}
 	}
-	return d, nil
+	return nil
 }
 
 // Checksums returns the segment's stored (ids, data) checksums, the pair
@@ -745,36 +476,6 @@ func (d *DiskFlat) SegmentLen() int {
 	return d.segN
 }
 
-// Len implements Index.
-func (d *DiskFlat) Len() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.ids)
-}
-
-// MemBytes estimates the heap retained by the index: IDs, norms, the
-// quantized tier, and the full-precision tail — NOT the segment rows, which
-// stay on disk and are pread per rescore window. The gap between this and a
-// Flat of the same population is the point of disk residency.
-func (d *DiskFlat) MemBytes() int64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	n := idSliceBytes(d.ids) + int64(len(d.norms))*8 + int64(len(d.tail))*8
-	for id := range d.byID {
-		n += int64(len(id)) + memStrHeader + memMapEntry
-	}
-	return n + d.quant.memBytes() + d.pq.memBytes()
-}
-
-// ResidentTierBytes reports the heap held by the approximate ranking tier
-// alone (int8 codes or PQ codebook+codes), the residency number the scale
-// experiment compares across tier choices.
-func (d *DiskFlat) ResidentTierBytes() int64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.quant.memBytes() + d.pq.memBytes()
-}
-
 // Close releases the segment file handle. Searches after Close fail.
 func (d *DiskFlat) Close() error {
 	d.mu.Lock()
@@ -783,237 +484,44 @@ func (d *DiskFlat) Close() error {
 		return nil
 	}
 	d.closed = true
-	if d.f != nil {
-		return d.f.Close()
-	}
-	return nil
+	return d.f.Close()
 }
 
-// Add implements Index. The row joins the in-RAM full-precision tail (plus
-// the quantized tier). The caller's durable store remains the source of
-// truth, but the tail does not grow without bound: once it reaches the
-// configured spill threshold, segment + tail are compacted into a fresh
-// on-disk segment and the tail is released, so sustained ingest holds a
-// bounded number of full-precision rows in RAM.
-func (d *DiskFlat) Add(id string, v tensor.Vector) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return errors.New("index: segment closed")
+// spill compacts a full in-RAM tail into the on-disk segment: the current
+// rows — segment preads followed by the tail — stream through the same
+// crash-safe publish as the original build, and a trained PQ tier rebinds
+// its side file to the new segment's checksums (its codes already cover
+// every row, so nothing retrains). Only then does the core swap to the new
+// file and drop the tail; norms, ids and the tier are untouched because
+// compaction only moves where the full-precision bytes live. A failure at
+// any point leaves the index serving from the previous segment — still
+// readable through the open handle's inode — plus the tail. Called with
+// c.mu held.
+func (c *core) spill() error {
+	if c.spillRows <= 0 || c.f == nil || len(c.rows) < c.spillRows*c.dim {
+		return nil
 	}
-	if err := validateVector(v, d.dim); err != nil {
-		return err
-	}
-	if _, ok := d.byID[id]; ok {
-		return fmt.Errorf("%w: %s", ErrDuplicateID, id)
-	}
-	if d.dim == 0 {
-		d.dim = len(v)
-		if d.quant != nil {
-			d.quant.dim = d.dim
-		}
-	}
-	d.ids = append(d.ids, id)
-	d.tail = append(d.tail, v...)
-	d.norms = append(d.norms, v.Norm())
-	if d.quant != nil {
-		d.quant.add(v)
-	}
-	d.byID[id] = struct{}{}
-	if d.pq != nil {
-		if d.pq.trained() {
-			d.pq.encode(v)
-		} else if len(d.ids) >= d.pq.trainRows {
-			if err := d.trainPQLocked(); err != nil {
-				return fmt.Errorf("index: pq train: %w", err)
-			}
-		}
-	}
-	if d.spillRows > 0 && d.f != nil && len(d.tail) >= d.spillRows*d.dim {
-		if err := d.spillLocked(); err != nil {
-			return fmt.Errorf("index: segment spill: %w", err)
-		}
-	}
-	return nil
-}
-
-// spillLocked compacts the in-RAM tail into the on-disk segment. The
-// current rows — segment preads followed by the tail — stream through the
-// same crash-safe build as the original segment (temp file, fsync, rename,
-// dir fsync), so a crash mid-spill leaves the previous segment intact and
-// readable through the still-open handle's inode. On success the struct
-// swaps to the new file and drops the tail; the quantized tier, norms, and
-// ids are unchanged because compaction only moves where the full-precision
-// bytes live. Called with d.mu held; a failed spill is reported but leaves
-// the index fully consistent (the row stays in the tail).
-func (d *DiskFlat) spillLocked() error {
-	stride := d.dim * 8
-	buf := make([]byte, stride)
-	segRow := make([]float64, d.dim)
-	var readErr error
-	row := func(i int) []float64 {
-		if i >= d.segN {
-			j := i - d.segN
-			return d.tail[j*d.dim : (j+1)*d.dim]
-		}
-		if readErr != nil {
-			return nil
-		}
-		if _, err := d.f.ReadAt(buf, d.dataOff+int64(i)*int64(stride)); err != nil {
-			readErr = err
-			return nil // shape mismatch makes the build fail before publish
-		}
-		for j := range segRow {
-			segRow[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[j*8:]))
-		}
-		return segRow
-	}
-	nd, err := buildDiskFlat(d.path, d.fs, d.metric, d.cfg, d.ids, row, d.pq)
-	if readErr != nil {
-		return readErr
-	}
+	sc := c.scratch.Get().(*scratch)
+	defer c.scratch.Put(sc)
+	hdr, err := writeSegment(c.fs, c.path, c.metric, c.dim, c.ids, func(i int) ([]float64, error) {
+		return c.rowAt(sc, i)
+	})
 	if err != nil {
 		return err
 	}
-	old := d.f
-	d.f = nd.f
-	d.segN = nd.segN
-	d.dataOff = nd.dataOff
-	d.idsCRC, d.dataCRC = nd.idsCRC, nd.dataCRC
-	d.tail = nil
-	old.Close()
-	return nil
-}
-
-// rowAt materializes row i's full-precision vector: a view into the in-RAM
-// tail, or a pread window into the segment decoded into sc's buffers.
-func (d *DiskFlat) rowAt(sc *diskScratch, i int) ([]float64, error) {
-	if i >= d.segN {
-		j := i - d.segN
-		return d.tail[j*d.dim : (j+1)*d.dim], nil
+	f, err := c.fs.OpenFile(c.path, os.O_RDONLY, 0)
+	if err != nil {
+		return fmt.Errorf("index: segment reopen: %w", err)
 	}
-	stride := d.dim * 8
-	if cap(sc.buf) < stride {
-		sc.buf = make([]byte, stride)
-		sc.row = make([]float64, d.dim)
-	}
-	sc.buf = sc.buf[:stride]
-	sc.row = sc.row[:d.dim]
-	if _, err := d.f.ReadAt(sc.buf, d.dataOff+int64(i)*int64(stride)); err != nil {
-		return nil, fmt.Errorf("index: segment read row %d: %w", i, err)
-	}
-	for j := range sc.row {
-		sc.row[j] = math.Float64frombits(binary.LittleEndian.Uint64(sc.buf[j*8:]))
-	}
-	return sc.row, nil
-}
-
-// Search implements Index via the two-phase read path: the in-RAM quantized
-// tier ranks every row and keeps a k·rescoreFactor shortlist, then only the
-// shortlist rows are pread back from the segment and rescored with the
-// exact flat-scan arithmetic and (distance, ID) total order. When the
-// shortlist would cover the whole index, every row is rescored — a pure
-// exact scan with unconditional bitwise identity to an in-RAM Flat.
-func (d *DiskFlat) Search(ctx context.Context, q tensor.Vector, k int) ([]Result, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.closed {
-		return nil, errors.New("index: segment closed")
-	}
-	n := len(d.ids)
-	if n == 0 {
-		return nil, nil
-	}
-	if err := validateVector(q, d.dim); err != nil {
-		return nil, err
-	}
-	diskSearches.Inc()
-	if k > n {
-		k = n
-	}
-	if k <= 0 {
-		return []Result{}, nil
-	}
-	qNorm := d.metric.queryNorm(q)
-	sc := d.scratch.Get().(*diskScratch)
-	shortlist := k * d.rescoreFactor
-
-	var cands []candidate
-	if shortlist < n && (d.quant != nil || d.pq.trained()) {
-		diskCandidates.Add(uint64(n + shortlist))
-		usePQ := d.pq.trained()
-		if usePQ {
-			lutLen := d.pq.cb.m * PQCentroids
-			if cap(sc.lut) < lutLen {
-				sc.lut = make([]float64, lutLen)
-			}
-			sc.lut = sc.lut[:lutLen]
-			d.pq.cb.buildLUT(d.metric, q, sc.lut)
-		} else {
-			sc.qq.set(d.metric, q, qNorm)
-		}
-		sc.short.reset(shortlist, nil)
-		for i := 0; i < n; i++ {
-			if i%ctxCheckInterval == 0 && ctx != nil {
-				if err := ctx.Err(); err != nil {
-					d.scratch.Put(sc)
-					return nil, err
-				}
-			}
-			var dist float64
-			if usePQ {
-				dist = d.pq.approxDist(d.metric, sc.lut, i, qNorm, d.norms[i])
-			} else {
-				dist = d.quant.approxDist(d.metric, &sc.qq, i, d.norms[i])
-			}
-			sc.short.offer(candidate{idx: i, dist: dist})
-		}
-		cands = sc.short.extractAscending()
-	} else {
-		// No trained ranking tier (PQ below its training threshold) or a
-		// whole-index shortlist: rescore every row — the plain exact scan.
-		diskCandidates.Add(uint64(n))
-	}
-
-	sc.sel.reset(k, d.ids)
-	rescore := func(i int) error {
-		row, err := d.rowAt(sc, i)
-		if err != nil {
+	if p := c.pq(); p.ready() {
+		if err := writePQSideFile(c.fs, c.path, hdr, p); err != nil {
+			f.Close()
 			return err
 		}
-		sc.sel.offer(candidate{idx: i, dist: d.metric.distFlat(q, qNorm, row, d.norms[i])})
-		return nil
 	}
-	if cands != nil {
-		for _, c := range cands {
-			if err := rescore(c.idx); err != nil {
-				sc.sel.release()
-				d.scratch.Put(sc)
-				return nil, err
-			}
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			if i%ctxCheckInterval == 0 && ctx != nil {
-				if err := ctx.Err(); err != nil {
-					sc.sel.release()
-					d.scratch.Put(sc)
-					return nil, err
-				}
-			}
-			if err := rescore(i); err != nil {
-				sc.sel.release()
-				d.scratch.Put(sc)
-				return nil, err
-			}
-		}
-	}
-	sel := sc.sel.extractAscending()
-	out := make([]Result, len(sel))
-	for i, c := range sel {
-		out[i] = Result{ID: d.ids[c.idx], Distance: c.dist}
-	}
-	sc.sel.release()
-	d.scratch.Put(sc)
-	return out, nil
+	old := c.f
+	c.attach(f, hdr)
+	c.rows = nil
+	old.Close()
+	return nil
 }

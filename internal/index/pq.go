@@ -15,7 +15,6 @@ package index
 // the trained bytes are identical at any worker count.
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -266,16 +265,12 @@ func newPQTier(cfg QuantConfig) *pqTier {
 	return &pqTier{m: cfg.PQSubspaces, trainRows: cfg.PQTrainRows, seed: cfg.Seed}
 }
 
-// trained reports whether the codebook exists yet. Nil-safe, so indexes
-// without a PQ tier dispatch without a branch at the call site.
-func (t *pqTier) trained() bool { return t != nil && t.cb != nil }
+// ready reports whether the codebook exists yet. Nil-safe, so callers
+// holding the result of core.pq() need no separate nil check.
+func (t *pqTier) ready() bool { return t != nil && t.cb != nil }
 
 // memBytes estimates the heap retained by the PQ tier: codes plus codebook.
-// Nil-safe like quantTier.memBytes.
 func (t *pqTier) memBytes() int64 {
-	if t == nil {
-		return 0
-	}
 	n := int64(len(t.codes))
 	if t.cb != nil {
 		n += int64(len(t.cb.cents))*8 + int64(len(t.cb.bounds))*8
@@ -283,16 +278,32 @@ func (t *pqTier) memBytes() int64 {
 	return n
 }
 
-// trainFrom trains the codebook from an already collected flattened sample.
-func (t *pqTier) trainFrom(sample []float64, nSample, dim, workers int) {
-	t.cb = trainPQCodebook(sample, nSample, dim, t.m, t.seed, workers)
-}
-
-// encode appends row's codes; the tier must be trained.
-func (t *pqTier) encode(row []float64) {
+// add appends row's codes once the codebook exists; before that the row is
+// left for trainPQ, which encodes the whole population.
+func (t *pqTier) add(row []float64) {
+	if t.cb == nil {
+		return
+	}
 	n := len(t.codes)
 	t.codes = append(t.codes, make([]uint8, t.cb.m)...)
 	t.cb.encodeInto(row, t.codes[n:n+t.cb.m])
+}
+
+// prepare builds the query's ADC table in sc.lut.
+func (t *pqTier) prepare(m Metric, q tensor.Vector, _ float64, sc *scratch) {
+	lutLen := t.cb.m * PQCentroids
+	if cap(sc.lut) < lutLen {
+		sc.lut = make([]float64, lutLen)
+	}
+	sc.lut = sc.lut[:lutLen]
+	t.cb.buildLUT(m, q, sc.lut)
+}
+
+// scan offers rows [lo, hi) to the shortlist selector.
+func (t *pqTier) scan(m Metric, sc *scratch, qNorm float64, norms []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		sc.short.offer(candidate{idx: i, dist: t.approxDist(m, sc.lut, i, qNorm, norms[i])})
+	}
 }
 
 // approxDist is the shortlist-ranking distance for row i under a query LUT.
@@ -309,148 +320,41 @@ func (t *pqTier) approxDist(m Metric, lut []float64, i int, qNorm, rowNorm float
 	return acc
 }
 
-// pqScratch is the pooled per-search state of a PQ scan: the query LUT, the
-// shortlist selector (tie-break by row index — the rescore re-ranks), the
-// final exact selector (tie-break by ID), and the parallel-rescore distance
-// buffer.
-type pqScratch struct {
-	lut   []float64
-	short topK
-	sel   topK
-	dists []float64
+// pq returns the core's tier as a PQ tier, nil when it has another or none.
+func (c *core) pq() *pqTier {
+	p, _ := c.tier.(*pqTier)
+	return p
 }
 
-// NewFlatPQ returns an empty exact index that serves searches through the
-// two-phase product-quantized read path: an ADC scan over one-byte-per-
-// subspace codes selects k·RescoreFactor candidates, then the exact flat
-// arithmetic rescores them. Results are bitwise identical to NewFlat
-// whenever the true top-k survives the shortlist cut; when the shortlist
-// covers the whole index — and, before PQTrainRows rows accumulate and the
-// codebook trains, always — the search degenerates to the plain exact scan
-// and identity is unconditional.
-func NewFlatPQ(metric Metric, cfg QuantConfig) *Flat {
-	f := NewFlat(metric)
-	if cfg.PQSubspaces <= 0 {
-		cfg.PQSubspaces = DefaultPQSubspaces
+// trainPQ trains an untrained PQ tier once the population reaches its
+// threshold — from an evenly strided sample read through rowAt — and encodes
+// every row. On a read error the tier is left untrained: searches keep
+// running the exact scan and the next call retries.
+func (c *core) trainPQ() error {
+	p, n := c.pq(), len(c.ids)
+	if p == nil || p.ready() || n < p.trainRows {
+		return nil
 	}
-	cfg = cfg.withDefaults()
-	f.pq = newPQTier(cfg)
-	f.rescoreFactor = cfg.RescoreFactor
-	f.pqscratch.New = func() any { return new(pqScratch) }
-	return f
-}
-
-// trainPQLocked trains the PQ codebook from the rows accumulated so far and
-// encodes all of them. Called with f.mu held, once, when the population
-// first reaches the training threshold.
-func (f *Flat) trainPQLocked() {
-	n := len(f.ids)
+	sc := c.scratch.Get().(*scratch)
+	defer c.scratch.Put(sc)
 	idxs := pqSampleIndices(n)
-	sample := make([]float64, 0, len(idxs)*f.dim)
+	sample := make([]float64, 0, len(idxs)*c.dim)
 	for _, i := range idxs {
-		sample = append(sample, f.data[i*f.dim:(i+1)*f.dim]...)
+		row, err := c.rowAt(sc, i)
+		if err != nil {
+			return fmt.Errorf("index: pq train: %w", err)
+		}
+		sample = append(sample, row...)
 	}
-	f.pq.trainFrom(sample, len(idxs), f.dim, 0)
-	f.pq.codes = make([]uint8, 0, n*f.pq.cb.m)
+	p.cb = trainPQCodebook(sample, len(idxs), c.dim, p.m, p.seed, 0)
+	p.codes = make([]uint8, 0, n*p.cb.m)
 	for i := 0; i < n; i++ {
-		f.pq.encode(f.data[i*f.dim : (i+1)*f.dim])
-	}
-}
-
-// searchPQ runs the two-phase ADC scan. Caller holds f.mu.RLock and has
-// validated q; n > 0, 0 < k ≤ n, the tier is trained, and the shortlist is
-// strictly smaller than n (otherwise the caller runs the plain exact scan).
-func (f *Flat) searchPQ(ctx context.Context, q tensor.Vector, qNorm float64, k, shortlist int) ([]Result, error) {
-	n := len(f.ids)
-	sc := f.pqscratch.Get().(*pqScratch)
-	lutLen := f.pq.cb.m * PQCentroids
-	if cap(sc.lut) < lutLen {
-		sc.lut = make([]float64, lutLen)
-	}
-	sc.lut = sc.lut[:lutLen]
-	f.pq.cb.buildLUT(f.metric, q, sc.lut)
-	sc.short.reset(shortlist, nil)
-	for i := 0; i < n; i++ {
-		if i%ctxCheckInterval == 0 && ctx != nil {
-			if err := ctx.Err(); err != nil {
-				f.pqscratch.Put(sc)
-				return nil, err
-			}
+		row, err := c.rowAt(sc, i)
+		if err != nil {
+			p.cb, p.codes = nil, nil
+			return fmt.Errorf("index: pq encode: %w", err)
 		}
-		sc.short.offer(candidate{idx: i, dist: f.pq.approxDist(f.metric, sc.lut, i, qNorm, f.norms[i])})
+		p.add(row)
 	}
-	cands := sc.short.extractAscending()
-	sc.sel.reset(k, f.ids)
-	f.rescoreCands(q, qNorm, cands, &sc.sel, &sc.dists)
-	sel := sc.sel.extractAscending()
-	out := make([]Result, len(sel))
-	for i, c := range sel {
-		out[i] = Result{ID: f.ids[c.idx], Distance: c.dist}
-	}
-	sc.sel.release()
-	f.pqscratch.Put(sc)
-	return out, nil
-}
-
-// Parallel exact-rescore tuning. Shortlists below the threshold rescore
-// serially (the common case — zero goroutines, zero allocations); above it
-// the distance computations fan out over a small bounded pool. Package
-// variables rather than config so tests can force the parallel path at tiny
-// shortlists.
-var (
-	rescoreParallelThreshold = 4096
-	rescoreMaxWorkers        = 8
-)
-
-// rescoreCands exact-rescores the shortlist into sel. Below the parallel
-// threshold each candidate is scored and offered in shortlist order; above
-// it, workers compute the exact distances into *dists — each writing a
-// disjoint index range — and the offers still happen serially in the same
-// shortlist order. Identical arithmetic, identical offer sequence: results
-// are bitwise identical at any worker count (the same discipline as the
-// parallel ingest path).
-func (f *Flat) rescoreCands(q tensor.Vector, qNorm float64, cands []candidate, sel *topK, dists *[]float64) {
-	dim := f.dim
-	if len(cands) < rescoreParallelThreshold || rescoreMaxWorkers < 2 {
-		for _, c := range cands {
-			row := f.data[c.idx*dim : (c.idx+1)*dim]
-			sel.offer(candidate{idx: c.idx, dist: f.metric.distFlat(q, qNorm, row, f.norms[c.idx])})
-		}
-		return
-	}
-	if cap(*dists) < len(cands) {
-		*dists = make([]float64, len(cands))
-	}
-	ds := (*dists)[:len(cands)]
-	workers := rescoreMaxWorkers
-	if mp := runtime.GOMAXPROCS(0); workers > mp {
-		workers = mp
-	}
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	chunk := (len(cands) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(cands) {
-			hi = len(cands)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for j := lo; j < hi; j++ {
-				c := cands[j]
-				row := f.data[c.idx*dim : (c.idx+1)*dim]
-				ds[j] = f.metric.distFlat(q, qNorm, row, f.norms[c.idx])
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	for j, c := range cands {
-		sel.offer(candidate{idx: c.idx, dist: ds[j]})
-	}
+	return nil
 }

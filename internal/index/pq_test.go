@@ -1,13 +1,8 @@
 package index
 
-// Tests for the product-quantized read tier. Same contract as the int8
-// tier's suite: the two-phase ADC search must return results bitwise
-// identical to the flat scan — same IDs, same order, same distance bits,
-// same tie resolution — whenever the shortlist recalls the true top-k, and
-// unconditionally while the tier is untrained or the shortlist covers the
-// index. On top of that, codebook training must be bitwise deterministic in
-// (seed, input) at any worker count, and the parallel exact-rescore must be
-// indistinguishable from the serial one.
+// Tests for the product-quantized tier beyond its cells of the read-path
+// matrix (matrix_test.go): codebook training must be bitwise deterministic in
+// (seed, input) at any worker count.
 
 import (
 	"context"
@@ -16,168 +11,8 @@ import (
 	"runtime"
 	"testing"
 
-	"modellake/internal/tensor"
 	"modellake/internal/xrand"
 )
-
-// TestPQMatchesFlatProperty drives the two-phase PQ search against the
-// full-sort oracle across metrics, sizes, rescore factors, and k values,
-// requiring bitwise identity on every seed. PQTrainRows is set to the
-// population so every lake trains its codebook on all of its rows — the
-// shape a built segment has — which is what makes identity hold even at
-// factor 4; incremental-drift recall is covered by TestPQRecallFallback.
-func TestPQMatchesFlatProperty(t *testing.T) {
-	for _, metric := range []Metric{Cosine, L2} {
-		for _, factor := range []int{4, 8} {
-			for _, n := range []int{1, 7, 100, 300, 500} {
-				vecs := randomVecs(t, n, 16, uint64(n)*13+uint64(metric)+uint64(factor))
-				ids := make([]string, n)
-				pq := NewFlatPQ(metric, QuantConfig{
-					RescoreFactor: factor,
-					PQSubspaces:   8,
-					PQTrainRows:   n,
-					Seed:          uint64(n) + 5,
-				})
-				for i, v := range vecs {
-					ids[i] = fmt.Sprintf("id%04d", i)
-					if err := pq.Add(ids[i], v); err != nil {
-						t.Fatal(err)
-					}
-				}
-				queries := randomVecs(t, 8, 16, uint64(n)+977)
-				for _, k := range []int{1, 3, n, n + 5} {
-					for qi, q := range queries {
-						got, err := pq.Search(context.Background(), q, k)
-						if err != nil {
-							t.Fatal(err)
-						}
-						want := referenceSearch(metric, ids, vecs, q, k)
-						assertBitwiseEqual(t,
-							fmt.Sprintf("metric=%v factor=%d n=%d k=%d q=%d", metric, factor, n, k, qi),
-							got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestPQTieBreakMatchesFlat forces exact distance ties (duplicate vectors
-// under fresh IDs). Identical rows encode to identical codes, so ties
-// survive the ADC phase and the exact rescore must resolve them by ID
-// exactly like the flat scan does.
-func TestPQTieBreakMatchesFlat(t *testing.T) {
-	base := randomVecs(t, 4, 8, 19)
-	var vecs []tensor.Vector
-	var ids []string
-	pq := NewFlatPQ(Cosine, QuantConfig{PQTrainRows: 8})
-	for copyN := 0; copyN < 5; copyN++ {
-		for bi, b := range base {
-			id := fmt.Sprintf("m%d-%d", bi, copyN)
-			ids = append(ids, id)
-			vecs = append(vecs, b.Clone())
-			if err := pq.Add(id, b); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	q := randomVecs(t, 1, 8, 23)[0]
-	for _, k := range []int{1, 4, 7, 10, 20} {
-		got, err := pq.Search(context.Background(), q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBitwiseEqual(t, fmt.Sprintf("k=%d", k), got, referenceSearch(Cosine, ids, vecs, q, k))
-	}
-}
-
-// clusterClumpVecs returns vectors engineered to hurt product quantization:
-// rows bunch into tight clusters whose within-cluster offsets live in
-// coordinates the coarse subspace codebooks cannot resolve. With few, wide
-// subspaces the 256 centroids per subspace are spent separating clusters,
-// so near-neighbors inside one cluster collapse onto the same codes and the
-// ADC phase cannot order them.
-func clusterClumpVecs(t *testing.T, n, dim int, seed uint64) []tensor.Vector {
-	t.Helper()
-	rng := xrand.New(seed)
-	const clusters = 8
-	centers := make([]tensor.Vector, clusters)
-	for c := range centers {
-		v := make(tensor.Vector, dim)
-		for j := range v {
-			v[j] = rng.NormFloat64() * 10
-		}
-		centers[c] = v
-	}
-	vecs := make([]tensor.Vector, n)
-	for i := range vecs {
-		v := centers[rng.Intn(clusters)].Clone()
-		for j := range v {
-			v[j] += rng.NormFloat64() * 1e-3
-		}
-		vecs[i] = v
-	}
-	return vecs
-}
-
-// TestPQRecallFallback is the recall safety net for the PQ tier. On clumped
-// lakes a shortlist of exactly k (RescoreFactor=1) provably misses part of
-// the true top-k — at least one miss is required, proving the adversarial
-// construction has teeth against the data-adaptive codebook — while the
-// default over-fetch must still return bitwise-exact results on the very
-// same lakes and queries.
-func TestPQRecallFallback(t *testing.T) {
-	const (
-		n, dim, k = 400, 32, 10
-		attempts  = 50
-	)
-	missed := false
-	for seed := uint64(1); seed <= attempts; seed++ {
-		vecs := clusterClumpVecs(t, n, dim, seed)
-		ids := make([]string, n)
-		mk := func(factor int) *Flat {
-			return NewFlatPQ(Cosine, QuantConfig{
-				RescoreFactor: factor,
-				PQSubspaces:   2,
-				PQTrainRows:   64,
-				Seed:          seed,
-			})
-		}
-		tight, wide := mk(1), mk(0)
-		for i, v := range vecs {
-			ids[i] = fmt.Sprintf("id%04d", i)
-			if err := tight.Add(ids[i], v); err != nil {
-				t.Fatal(err)
-			}
-			if err := wide.Add(ids[i], v); err != nil {
-				t.Fatal(err)
-			}
-		}
-		queries := randomVecs(t, 10, dim, seed+8888)
-		for qi, q := range queries {
-			want := referenceSearch(Cosine, ids, vecs, q, k)
-			got, err := tight.Search(context.Background(), q, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range got {
-				if got[i].ID != want[i].ID {
-					missed = true
-					break
-				}
-			}
-			wgot, err := wide.Search(context.Background(), q, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertBitwiseEqual(t, fmt.Sprintf("seed=%d q=%d (default factor)", seed, qi), wgot, want)
-		}
-		if missed {
-			return
-		}
-	}
-	t.Fatalf("no recall miss at RescoreFactor=1 in %d adversarial lakes; construction lost its teeth", attempts)
-}
 
 // TestPQTrainingDeterministic pins the parallel-training contract: the same
 // (seed, sample) trains byte-identical codebooks at any worker count and any
@@ -210,83 +45,6 @@ func TestPQTrainingDeterministic(t *testing.T) {
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
 	check("GOMAXPROCS=1", trainPQCodebook(sample, nSample, dim, m, 99, 0))
-}
-
-// TestParallelRescoreMatchesSerial forces the parallel exact-rescore path at
-// tiny shortlists and requires bitwise-identical results at every worker
-// count — the disjoint-write + serial-offer discipline under test is what
-// keeps the identity guarantee intact above the parallelism threshold.
-func TestParallelRescoreMatchesSerial(t *testing.T) {
-	oldThresh, oldWorkers := rescoreParallelThreshold, rescoreMaxWorkers
-	defer func() {
-		rescoreParallelThreshold, rescoreMaxWorkers = oldThresh, oldWorkers
-	}()
-
-	const n, dim, k = 700, 16, 9
-	vecs := randomVecs(t, n, dim, 321)
-	build := func() *Flat {
-		pq := NewFlatPQ(Cosine, QuantConfig{PQSubspaces: 4, PQTrainRows: 64, Seed: 3})
-		for i, v := range vecs {
-			if err := pq.Add(fmt.Sprintf("id%04d", i), v); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return pq
-	}
-	idx := build()
-	queries := randomVecs(t, 6, dim, 654)
-
-	rescoreParallelThreshold, rescoreMaxWorkers = 1<<30, 1 // serial baseline
-	want := make([][]Result, len(queries))
-	for qi, q := range queries {
-		res, err := idx.Search(context.Background(), q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[qi] = res
-	}
-
-	rescoreParallelThreshold = 1 // every shortlist takes the parallel path
-	for _, workers := range []int{2, 3, 5, 8} {
-		rescoreMaxWorkers = workers
-		for qi, q := range queries {
-			got, err := idx.Search(context.Background(), q, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertBitwiseEqual(t, fmt.Sprintf("workers=%d q=%d", workers, qi), got, want[qi])
-		}
-	}
-}
-
-// TestPQSearchAllocBounds pins the pooled ADC read path: after warm-up a PQ
-// search allocates only the result slice. Same bound and same race gate as
-// the flat and int8 variants.
-func TestPQSearchAllocBounds(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; bounds only hold in normal builds")
-	}
-	vecs := randomVecs(t, 2000, 32, 31)
-	pq := NewFlatPQ(Cosine, QuantConfig{})
-	for i, v := range vecs {
-		if err := pq.Add(fmt.Sprintf("m%05d", i), v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q := randomVecs(t, 1, 32, 41)[0]
-	ctx := context.Background()
-	for i := 0; i < 5; i++ { // warm the scratch pool
-		if _, err := pq.Search(ctx, q, 10); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if _, err := pq.Search(ctx, q, 10); err != nil {
-			t.Fatal(err)
-		}
-	}); n > 2 {
-		t.Fatalf("pq search: %v allocs/op, want <= 2", n)
-	}
 }
 
 func BenchmarkFlatPQSearch10k(b *testing.B) {

@@ -1,10 +1,11 @@
 package index
 
-// Tests for the PQ tier on disk-resident segments. On top of the in-RAM PQ
-// suite's identity contract, three disk-specific properties are pinned here:
-// (1) a PQ-mode DiskFlat answers bitwise identically to the oracle through
-// build, reopen, tail adds, and spills; (2) the MLPQ1 side file is pure
-// derived acceleration — corrupt, stale, or missing side files never change
+// Tests for the PQ tier on disk-resident segments. The identity contract
+// through build, reopen and tail adds is a cell of the matrix suite
+// (matrix_test.go); three disk-specific properties are pinned here: (1) a
+// PQ-mode DiskFlat stays bitwise identical to the oracle across spills, which
+// reuse the trained codebook; (2) the MLPQ1 side file is pure derived
+// acceleration — corrupt, stale, or missing side files never change
 // answers or fail an open (the tier retrains from the verified segment
 // rows), while segment corruption itself still refuses to open; and (3) the
 // build-time crash sweep holds with the side-file IO in the op window.
@@ -22,61 +23,6 @@ import (
 
 func pqDiskCfg() QuantConfig {
 	return QuantConfig{PQSubspaces: 8, PQTrainRows: 32, Seed: 77}
-}
-
-// TestDiskFlatPQMatchesFlatProperty pins the PQ-mode disk tier to the
-// full-sort oracle across metrics and k values, through a close/reopen cycle
-// (side-file adoption) and after in-RAM tail adds (encoded against the
-// build-time codebook).
-func TestDiskFlatPQMatchesFlatProperty(t *testing.T) {
-	for _, metric := range []Metric{Cosine, L2} {
-		const n, dim = 400, 16
-		vecs := randomVecs(t, n+20, dim, 191+uint64(metric))
-		ids := make([]string, n+20)
-		for i := range ids {
-			ids[i] = fmt.Sprintf("id%04d", i)
-		}
-		path := filepath.Join(t.TempDir(), "vec.seg")
-		d := buildSegment(t, path, metric, pqDiskCfg(), ids[:n], vecs[:n])
-		queries := randomVecs(t, 6, dim, 500+uint64(metric))
-		check := func(label string, count int) {
-			t.Helper()
-			for _, k := range []int{1, 5, 20, count} {
-				for qi, q := range queries {
-					got, err := d.Search(context.Background(), q, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := referenceSearch(metric, ids[:count], vecs[:count], q, k)
-					assertBitwiseEqual(t, fmt.Sprintf("%s metric=%v k=%d q=%d", label, metric, k, qi), got, want)
-				}
-			}
-		}
-		check("fresh build", n)
-		if !d.pq.trained() {
-			t.Fatal("built PQ segment left its tier untrained")
-		}
-
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
-		var err error
-		d, err = OpenDiskFlat(path, nil, metric, pqDiskCfg())
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("reopened", n)
-
-		for i := n; i < n+20; i++ {
-			if err := d.Add(ids[i], vecs[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		check("with tail", n+20)
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
 }
 
 // TestDiskFlatPQSideFile pins the side file's derived-state contract: a
@@ -112,7 +58,7 @@ func TestDiskFlatPQSideFile(t *testing.T) {
 			t.Fatalf("%s: open: %v", label, err)
 		}
 		defer od.Close()
-		if !od.pq.trained() {
+		if !od.pq().ready() {
 			t.Fatalf("%s: reopened tier untrained", label)
 		}
 		// Adoption must be idempotent on the (possibly republished) side
@@ -202,7 +148,7 @@ func TestDiskFlatPQTailSpill(t *testing.T) {
 	cfg := pqDiskCfg()
 	cfg.SpillTailRows = spill
 	d := buildSegment(t, path, Cosine, cfg, ids[:n], vecs[:n])
-	cb := d.pq.cb
+	cb := d.pq().cb
 	if cb == nil {
 		t.Fatal("PQ tier untrained after build above PQTrainRows")
 	}
@@ -224,11 +170,11 @@ func TestDiskFlatPQTailSpill(t *testing.T) {
 	if d.SegmentLen() < total-spill {
 		t.Fatalf("segment holds %d of %d rows; spill never ran", d.SegmentLen(), total)
 	}
-	if d.pq.cb != cb {
+	if d.pq().cb != cb {
 		t.Fatal("spill retrained the PQ codebook instead of reusing it")
 	}
-	if len(d.pq.codes) != d.Len()*cb.m {
-		t.Fatalf("codes cover %d bytes, want %d rows x %d", len(d.pq.codes), d.Len(), cb.m)
+	if len(d.pq().codes) != d.Len()*cb.m {
+		t.Fatalf("codes cover %d bytes, want %d rows x %d", len(d.pq().codes), d.Len(), cb.m)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -302,7 +248,7 @@ func TestDiskFlatPQCrashSweep(t *testing.T) {
 					t.Fatalf("%s@%d (%v): opened a partial segment: len=%d crc=(%x,%x)",
 						mode, at, ops[at-1], od.SegmentLen(), gotIDs, gotData)
 				}
-				if !od.pq.trained() {
+				if !od.pq().ready() {
 					t.Fatalf("%s@%d: surviving segment opened with untrained tier", mode, at)
 				}
 				got, serr := od.Search(context.Background(), q, k)

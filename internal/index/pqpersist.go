@@ -30,7 +30,8 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
+
+	"modellake/internal/fault"
 )
 
 const (
@@ -42,82 +43,15 @@ const (
 // pqSidePath is the side-file location for a segment path.
 func pqSidePath(segPath string) string { return segPath + ".pq" }
 
-// pqEncodeSegment encodes every segment row into the PQ tier with one
-// sequential pass of pread windows (the tier's codes are reset first). The
-// codebook must already be trained. Called with the index unshared (build)
-// or with d.mu held.
-func (d *DiskFlat) pqEncodeSegment() error {
-	m := d.pq.cb.m
-	d.pq.codes = make([]uint8, 0, d.segN*m)
-	stride := d.dim * 8
-	buf := make([]byte, stride)
-	row := make([]float64, d.dim)
-	for i := 0; i < d.segN; i++ {
-		if _, err := d.f.ReadAt(buf, d.dataOff+int64(i)*int64(stride)); err != nil {
-			return fmt.Errorf("index: pq encode row %d: %w", i, err)
-		}
-		for j := range row {
-			row[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[j*8:]))
-		}
-		d.pq.encode(row)
-	}
-	return nil
-}
-
-// trainPQLocked trains the PQ codebook from the current population (segment
-// rows via pread plus the in-RAM tail) and encodes every row. Called with
-// d.mu held when Add pushes the population past the training threshold. On
-// any read error the tier is left untrained — searches keep running the
-// exact scan — and the error is reported.
-func (d *DiskFlat) trainPQLocked() error {
-	n := len(d.ids)
-	stride := d.dim * 8
-	buf := make([]byte, stride)
-	row := make([]float64, d.dim)
-	readRow := func(i int) ([]float64, error) {
-		if i >= d.segN {
-			j := i - d.segN
-			return d.tail[j*d.dim : (j+1)*d.dim], nil
-		}
-		if _, err := d.f.ReadAt(buf, d.dataOff+int64(i)*int64(stride)); err != nil {
-			return nil, fmt.Errorf("index: pq train row %d: %w", i, err)
-		}
-		for j := range row {
-			row[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[j*8:]))
-		}
-		return row, nil
-	}
-	idxs := pqSampleIndices(n)
-	sample := make([]float64, 0, len(idxs)*d.dim)
-	for _, i := range idxs {
-		r, err := readRow(i)
-		if err != nil {
-			return err
-		}
-		sample = append(sample, r...)
-	}
-	d.pq.trainFrom(sample, len(idxs), d.dim, 0)
-	d.pq.codes = make([]uint8, 0, n*d.pq.cb.m)
-	for i := 0; i < n; i++ {
-		r, err := readRow(i)
-		if err != nil {
-			d.pq.cb, d.pq.codes = nil, nil
-			return err
-		}
-		d.pq.encode(r)
-	}
-	return nil
-}
-
-// writePQSideFile publishes the trained tier's codebook and segment-row
-// codes crash-safely next to the segment. The side file only ever describes
-// segment rows (the in-RAM tail is rebuilt from the durable vec records on
-// reopen anyway), so it is written exactly where the segment itself is
-// (re)built: at build, open-retrain, and spill time — all points where the
-// tail is empty or just compacted away.
-func (d *DiskFlat) writePQSideFile() error {
-	cb := d.pq.cb
-	codes := d.pq.codes[:d.segN*cb.m]
+// writePQSideFile publishes the trained tier's codebook and the codes of
+// the segment seg describes crash-safely next to it at segPath. The side file
+// only ever describes segment rows (the in-RAM tail is rebuilt from the
+// durable vec records on reopen anyway), so it is written exactly where the
+// segment itself is (re)built: at build, open-retrain, and spill time — all
+// points where every current row is, or is about to be, a segment row.
+func writePQSideFile(fs *fault.FS, segPath string, seg *diskHeader, p *pqTier) error {
+	cb := p.cb
+	codes := p.codes[:int(seg.count)*cb.m]
 	body := make([]byte, len(cb.cents)*8+len(codes))
 	for i, x := range cb.cents {
 		binary.LittleEndian.PutUint64(body[i*8:], math.Float64bits(x))
@@ -127,48 +61,24 @@ func (d *DiskFlat) writePQSideFile() error {
 	hdr := make([]byte, pqSideHeaderSize)
 	binary.LittleEndian.PutUint32(hdr[0:], pqSideMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], pqSideVersion)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(d.metric))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(d.dim))
+	binary.LittleEndian.PutUint32(hdr[8:], seg.metric)
+	binary.LittleEndian.PutUint32(hdr[12:], seg.dim)
 	binary.LittleEndian.PutUint32(hdr[16:], uint32(cb.m))
-	binary.LittleEndian.PutUint64(hdr[24:], uint64(d.segN))
-	binary.LittleEndian.PutUint64(hdr[32:], d.idsCRC)
-	binary.LittleEndian.PutUint64(hdr[40:], d.dataCRC)
+	binary.LittleEndian.PutUint64(hdr[24:], seg.count)
+	binary.LittleEndian.PutUint64(hdr[32:], seg.idsCRC)
+	binary.LittleEndian.PutUint64(hdr[40:], seg.dataCRC)
 	binary.LittleEndian.PutUint64(hdr[48:], crc64.Checksum(body, crcTable))
 	binary.LittleEndian.PutUint64(hdr[56:], crc64.Checksum(hdr[:56], crcTable))
 
-	path := pqSidePath(d.path)
-	dir := filepath.Dir(path)
-	tmp, err := d.fs.CreateTemp(dir, ".pq-*")
-	if err != nil {
-		return fmt.Errorf("index: pq side temp: %w", err)
-	}
-	tmpName := tmp.Name()
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if _, err := tmp.Write(hdr); err != nil {
-		return fail(fmt.Errorf("index: pq side header: %w", err))
-	}
-	if _, err := tmp.Write(body); err != nil {
-		return fail(fmt.Errorf("index: pq side body: %w", err))
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(fmt.Errorf("index: pq side sync: %w", err))
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("index: pq side close: %w", err)
-	}
-	if err := d.fs.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("index: pq side publish: %w", err)
-	}
-	if err := d.fs.SyncDir(dir); err != nil {
-		return fmt.Errorf("index: pq side dir sync: %w", err)
-	}
-	return nil
+	return publish(fs, pqSidePath(segPath), ".pq-*", func(tmp *fault.File) error {
+		if _, err := tmp.Write(hdr); err != nil {
+			return fmt.Errorf("index: pq side header: %w", err)
+		}
+		if _, err := tmp.Write(body); err != nil {
+			return fmt.Errorf("index: pq side body: %w", err)
+		}
+		return nil
+	})
 }
 
 // adoptPQSideFile tries to restore the PQ tier from the segment's side file,
@@ -177,8 +87,12 @@ func (d *DiskFlat) writePQSideFile() error {
 // current config would train, and the exact (count, idsCRC, dataCRC) binding
 // to the segment just opened, plus the body checksum over codebook and
 // codes. Anything less reports false and the caller retrains.
-func (d *DiskFlat) adoptPQSideFile() bool {
-	f, err := d.fs.OpenFile(pqSidePath(d.path), os.O_RDONLY, 0)
+func (c *core) adoptPQSideFile() bool {
+	p := c.pq()
+	if p == nil || c.segN < p.trainRows {
+		return false
+	}
+	f, err := c.fs.OpenFile(pqSidePath(c.path), os.O_RDONLY, 0)
 	if err != nil {
 		return false
 	}
@@ -192,22 +106,22 @@ func (d *DiskFlat) adoptPQSideFile() bool {
 	}
 	if binary.LittleEndian.Uint32(hdr[0:]) != pqSideMagic ||
 		binary.LittleEndian.Uint32(hdr[4:]) != pqSideVersion ||
-		binary.LittleEndian.Uint32(hdr[8:]) != uint32(d.metric) ||
-		binary.LittleEndian.Uint32(hdr[12:]) != uint32(d.dim) {
+		binary.LittleEndian.Uint32(hdr[8:]) != uint32(c.metric) ||
+		binary.LittleEndian.Uint32(hdr[12:]) != uint32(c.dim) {
 		return false
 	}
 	m := int(binary.LittleEndian.Uint32(hdr[16:]))
-	bounds := pqBounds(d.dim, d.pq.m)
+	bounds := pqBounds(c.dim, p.m)
 	if m != len(bounds)-1 {
 		return false
 	}
-	if binary.LittleEndian.Uint64(hdr[24:]) != uint64(d.segN) ||
-		binary.LittleEndian.Uint64(hdr[32:]) != d.idsCRC ||
-		binary.LittleEndian.Uint64(hdr[40:]) != d.dataCRC {
+	if binary.LittleEndian.Uint64(hdr[24:]) != uint64(c.segN) ||
+		binary.LittleEndian.Uint64(hdr[32:]) != c.idsCRC ||
+		binary.LittleEndian.Uint64(hdr[40:]) != c.dataCRC {
 		return false
 	}
-	centsBytes := PQCentroids * d.dim * 8
-	bodyLen := centsBytes + d.segN*m
+	centsBytes := PQCentroids * c.dim * 8
+	bodyLen := centsBytes + c.segN*m
 	if st, err := f.Stat(); err != nil || st.Size() != int64(pqSideHeaderSize+bodyLen) {
 		return false
 	}
@@ -218,11 +132,11 @@ func (d *DiskFlat) adoptPQSideFile() bool {
 	if binary.LittleEndian.Uint64(hdr[48:]) != crc64.Checksum(body, crcTable) {
 		return false
 	}
-	cents := make([]float64, PQCentroids*d.dim)
+	cents := make([]float64, PQCentroids*c.dim)
 	for i := range cents {
 		cents[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[i*8:]))
 	}
-	d.pq.cb = &pqCodebook{dim: d.dim, m: m, bounds: bounds, cents: cents}
-	d.pq.codes = append([]uint8(nil), body[centsBytes:]...)
+	p.cb = &pqCodebook{dim: c.dim, m: m, bounds: bounds, cents: cents}
+	p.codes = append([]uint8(nil), body[centsBytes:]...)
 	return true
 }

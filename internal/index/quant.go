@@ -10,11 +10,7 @@ package index
 // shortlist cut (the recall condition the rescore factor buys), the final
 // answer is bitwise identical to a full-precision flat scan.
 
-import (
-	"context"
-
-	"modellake/internal/tensor"
-)
+import "modellake/internal/tensor"
 
 // DefaultRescoreFactor is the shortlist over-fetch multiplier a quantized
 // index uses when its config leaves it unset: the quantized phase keeps
@@ -92,34 +88,18 @@ func (t *quantTier) add(row []float64) {
 	t.sums = append(t.sums, sum)
 }
 
-// reserve pre-sizes the tier for n more rows of dimension dim.
-// memBytes estimates the heap retained by the quantized tier. Nil-safe, so
-// un-quantized indexes report zero without a branch at the call site.
+func (t *quantTier) ready() bool { return true }
+
 func (t *quantTier) memBytes() int64 {
-	if t == nil {
-		return 0
-	}
 	return int64(len(t.codes)) + int64(len(t.mins))*8 + int64(len(t.scales))*8 + int64(len(t.sums))*4
 }
 
+// reserve pre-sizes the tier for n more rows of dimension dim.
 func (t *quantTier) reserve(n, dim int) {
-	if cap(t.codes)-len(t.codes) < n*dim {
-		codes := make([]int8, len(t.codes), len(t.codes)+n*dim)
-		copy(codes, t.codes)
-		t.codes = codes
-	}
-	if cap(t.mins)-len(t.mins) < n {
-		grow := func(xs []float64) []float64 {
-			out := make([]float64, len(xs), len(xs)+n)
-			copy(out, xs)
-			return out
-		}
-		t.mins = grow(t.mins)
-		t.scales = grow(t.scales)
-		sums := make([]int32, len(t.sums), len(t.sums)+n)
-		copy(sums, t.sums)
-		t.sums = sums
-	}
+	t.codes = grow(t.codes, n*dim)
+	t.mins = grow(t.mins, n)
+	t.scales = grow(t.scales, n)
+	t.sums = grow(t.sums, n)
 }
 
 // quantQuery is a query quantized into the tier's code space, plus the
@@ -133,9 +113,10 @@ type quantQuery struct {
 	norm2 float64 // squared norm (L2)
 }
 
-// set quantizes q for a scan under the given metric. qNorm is the exact
-// query norm the caller already computed via Metric.queryNorm.
-func (qq *quantQuery) set(m Metric, q tensor.Vector, qNorm float64) {
+// prepare quantizes q into sc.qq for a scan under the given metric. qNorm is
+// the exact query norm the caller already computed via Metric.queryNorm.
+func (t *quantTier) prepare(m Metric, q tensor.Vector, qNorm float64, sc *scratch) {
+	qq := &sc.qq
 	if cap(qq.codes) < len(q) {
 		qq.codes = make([]int8, len(q))
 	}
@@ -180,59 +161,9 @@ func (t *quantTier) approxDist(m Metric, qq *quantQuery, i int, rowNorm float64)
 	return qq.norm2 + rowNorm*rowNorm - 2*t.approxDot(qq, i)
 }
 
-// quantScratch is the pooled per-search state of a two-phase scan: the
-// quantized query, the shortlist selector (tie-break by row index — any
-// deterministic order works, the rescore re-ranks), the final exact
-// selector (tie-break by ID, matching the full-precision scan), and the
-// parallel-rescore distance buffer.
-type quantScratch struct {
-	qq    quantQuery
-	short topK
-	sel   topK
-	dists []float64
-}
-
-// NewFlatQuantized returns an empty exact index that serves searches through
-// the two-phase quantized read path: an int8 scan selects k·RescoreFactor
-// candidates, then the exact flat arithmetic rescores them. Results are
-// bitwise identical to NewFlat whenever the true top-k survives the
-// shortlist cut; when the shortlist covers the whole index the search
-// degenerates to the plain exact scan and identity is unconditional.
-func NewFlatQuantized(metric Metric, cfg QuantConfig) *Flat {
-	f := NewFlat(metric)
-	cfg = cfg.withDefaults()
-	f.quant = &quantTier{}
-	f.rescoreFactor = cfg.RescoreFactor
-	f.qscratch.New = func() any { return new(quantScratch) }
-	return f
-}
-
-// searchQuantized runs the two-phase scan. Caller holds f.mu.RLock and has
-// validated q; n > 0, 0 < k ≤ n, and the shortlist is strictly smaller than
-// n (otherwise the caller runs the plain exact scan).
-func (f *Flat) searchQuantized(ctx context.Context, q tensor.Vector, qNorm float64, k, shortlist int) ([]Result, error) {
-	n := len(f.ids)
-	sc := f.qscratch.Get().(*quantScratch)
-	sc.qq.set(f.metric, q, qNorm)
-	sc.short.reset(shortlist, nil)
-	for i := 0; i < n; i++ {
-		if i%ctxCheckInterval == 0 && ctx != nil {
-			if err := ctx.Err(); err != nil {
-				f.qscratch.Put(sc)
-				return nil, err
-			}
-		}
-		sc.short.offer(candidate{idx: i, dist: f.quant.approxDist(f.metric, &sc.qq, i, f.norms[i])})
+// scan offers rows [lo, hi) to the shortlist selector.
+func (t *quantTier) scan(m Metric, sc *scratch, _ float64, norms []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		sc.short.offer(candidate{idx: i, dist: t.approxDist(m, &sc.qq, i, norms[i])})
 	}
-	cands := sc.short.extractAscending()
-	sc.sel.reset(k, f.ids)
-	f.rescoreCands(q, qNorm, cands, &sc.sel, &sc.dists)
-	sel := sc.sel.extractAscending()
-	out := make([]Result, len(sel))
-	for i, c := range sel {
-		out[i] = Result{ID: f.ids[c.idx], Distance: c.dist}
-	}
-	sc.sel.release()
-	f.qscratch.Put(sc)
-	return out, nil
 }

@@ -15,6 +15,7 @@ import (
 	"sort"
 	"testing"
 
+	"modellake/internal/raceflag"
 	"modellake/internal/tensor"
 	"modellake/internal/xrand"
 )
@@ -133,7 +134,7 @@ func TestFlatTieBreakMatchesReference(t *testing.T) {
 // TestMetricDistanceZeroAlloc pins the kernel-backed metrics at zero heap
 // allocations per call.
 func TestMetricDistanceZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; bounds only hold in normal builds")
 	}
 	v := randomVecs(t, 2, 64, 5)
@@ -146,23 +147,17 @@ func TestMetricDistanceZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSearchAllocBounds pins the pooled read path: after warm-up, a flat
-// search allocates only the result slice, and an HNSW search only the result
-// slice plus the beam output. The bounds are deliberately tight — doubling
-// them is the signal this PR's property has been lost.
-func TestSearchAllocBounds(t *testing.T) {
-	if raceEnabled {
+// TestHNSWSearchAllocBounds pins the pooled HNSW read path: after warm-up a
+// search allocates only the result slice plus the beam output. (The flat
+// indexes' bound is a cell of the read-path matrix.)
+func TestHNSWSearchAllocBounds(t *testing.T) {
+	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; bounds only hold in normal builds")
 	}
 	vecs := randomVecs(t, 2000, 32, 23)
-	flat := NewFlat(Cosine)
 	hnsw := NewHNSW(Cosine, HNSWConfig{Seed: 1})
 	for i, v := range vecs {
-		id := fmt.Sprintf("m%05d", i)
-		if err := flat.Add(id, v); err != nil {
-			t.Fatal(err)
-		}
-		if err := hnsw.Add(id, v); err != nil {
+		if err := hnsw.Add(fmt.Sprintf("m%05d", i), v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -170,19 +165,9 @@ func TestSearchAllocBounds(t *testing.T) {
 	ctx := context.Background()
 	// Warm-up settles the sync.Pool scratch.
 	for i := 0; i < 4; i++ {
-		if _, err := flat.Search(ctx, q, 10); err != nil {
-			t.Fatal(err)
-		}
 		if _, err := hnsw.Search(ctx, q, 10); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if _, err := flat.Search(ctx, q, 10); err != nil {
-			t.Fatal(err)
-		}
-	}); n > 2 {
-		t.Fatalf("Flat.Search: %v allocs/op, want <= 2", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		if _, err := hnsw.Search(ctx, q, 10); err != nil {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"path/filepath"
 	"testing"
+
+	"modellake/internal/raceflag"
 )
 
 // Allocation regressions on the group-commit hot path. The budgets are
@@ -14,7 +16,7 @@ import (
 // own allocations.
 
 func TestPutAllocs(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
 	path := filepath.Join(t.TempDir(), "kv.log")
@@ -40,7 +42,7 @@ func TestPutAllocs(t *testing.T) {
 }
 
 func TestApplyAllocs(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
 	path := filepath.Join(t.TempDir(), "kv.log")
@@ -68,7 +70,7 @@ func TestApplyAllocs(t *testing.T) {
 }
 
 func TestGetAllocs(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
 	s := OpenMemory()

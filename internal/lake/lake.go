@@ -66,45 +66,46 @@ type Config struct {
 	MaxClasses int
 	// Probes is the behavioural probe count (default 32).
 	Probes int
-	// Seed drives all lake-internal randomness (ANN level assignment,
+	// Seed drives all lake-internal randomness (PQ codebook training,
 	// probe generation, weight-space probes).
 	Seed uint64
-	// UseHNSW selects the approximate index for content search (exact flat
-	// scan otherwise). Flat is the default: exact and fast below ~10k
-	// models. Incompatible with Quantize and DiskResidentVectors.
-	UseHNSW bool
-	// Quantize enables the int8 quantized read tier on the flat content
-	// indexes (DESIGN.md §12): searches rank every row by an approximate
-	// int8 distance, keep a k·RescoreFactor shortlist, and rescore it with
-	// the exact full-precision arithmetic. Answers are bitwise identical to
-	// the plain flat scan whenever the true top-k survives the shortlist
-	// cut, which the over-fetch factor buys with overwhelming probability.
+	// The content indexes are exact flat indexes with one read path
+	// (DESIGN.md §12) and two independent choices: which approximate tier
+	// ranks the rows first — none by default, Quantize, or PQSubspaces —
+	// and where the full-precision rows live — RAM by default, or
+	// DiskResidentVectors. With a tier, a search ranks every row by an
+	// approximate distance, keeps a k·RescoreFactor shortlist and rescores
+	// it with the exact full-precision arithmetic, so the answer is bitwise
+	// identical to the plain scan whenever the shortlist recalls the true
+	// top-k — and unconditionally when k·RescoreFactor covers the lake.
+	//
+	// Quantize selects the int8 tier: 1 byte per vector component instead
+	// of 8, and the most faithful ranking of the two.
 	Quantize bool
-	// PQSubspaces selects the product-quantized read tier (DESIGN.md §14)
-	// instead of the int8 one: each content vector is coded as this many
-	// one-byte subspace centroids (values above the vector dimension clamp
-	// to it), an ADC lookup-table scan picks the k·RescoreFactor shortlist,
-	// and the exact rescore phase is unchanged — so answers carry the same
-	// bitwise-identity guarantee as Quantize at a fraction of the resident
-	// bytes. Codebooks train deterministically from Seed once an index holds
-	// 256 rows; below that searches are plain exact scans. Composes with
-	// DiskResidentVectors; incompatible with Quantize (the tiers are
-	// alternatives) and UseHNSW.
+	// PQSubspaces selects the product-quantized tier (DESIGN.md §14)
+	// instead: each content vector is coded as this many one-byte subspace
+	// centroids (values above the vector dimension clamp to it) and ranked
+	// by an ADC lookup-table scan — a fraction of the int8 tier's resident
+	// bytes, and a coarser ranking: measured through the HTTP benchmark at
+	// the default RescoreFactor, 46–101 of 4160 related answers differed
+	// from the flat scan (none at factor 64). Codebooks train
+	// deterministically from Seed once an index holds 256 rows; below that
+	// searches are plain exact scans. The tiers are alternatives:
+	// incompatible with Quantize.
 	PQSubspaces int
-	// RescoreFactor overrides the quantized tier's shortlist over-fetch
-	// multiplier. Zero means the index default
-	// (index.DefaultRescoreFactor); non-zero values require Quantize,
-	// PQSubspaces, or DiskResidentVectors and must be at least
-	// MinRescoreFactor.
+	// RescoreFactor overrides the tier's shortlist over-fetch multiplier.
+	// Zero means the index default (index.DefaultRescoreFactor); non-zero
+	// values require Quantize, PQSubspaces, or DiskResidentVectors and must
+	// be at least MinRescoreFactor.
 	RescoreFactor int
 	// DiskResidentVectors moves the full-precision content vectors into
-	// page-cache-friendly on-disk segments (Dir/vectors/<space>.seg): the
-	// int8 quantized tier stays resident (1 byte per component instead of
-	// 8) and only the shortlist rows are paged in for the exact rescore.
-	// Requires Dir; implies the quantized read path. Models ingested after
-	// Open are served from an in-RAM tail until the next reopen folds them
-	// into the segment — the persisted vec records stay the durable source
-	// of truth, so a torn or stale segment is simply rebuilt.
+	// page-cache-friendly on-disk segments (Dir/vectors/<space>.seg): only
+	// the ranking tier stays resident — the int8 tier unless PQSubspaces is
+	// set — and only the shortlist rows are paged in for the exact rescore.
+	// Requires Dir. Models ingested after Open are served from a bounded
+	// in-RAM tail that spills into the segment as it fills — the persisted
+	// vec records stay the durable source of truth, so a torn or stale
+	// segment is simply rebuilt.
 	DiskResidentVectors bool
 	// DiskResidentPostings moves the keyword index's compact postings
 	// segments onto disk (Dir/postings/kw-NN.seg): merges publish
@@ -206,9 +207,6 @@ func (c Config) validate() error {
 		if c.RescoreFactor < MinRescoreFactor {
 			return fmt.Errorf("lake: RescoreFactor %d below minimum %d", c.RescoreFactor, MinRescoreFactor)
 		}
-	}
-	if c.UseHNSW && (c.Quantize || c.PQSubspaces > 0 || c.DiskResidentVectors) {
-		return errors.New("lake: UseHNSW is incompatible with the quantized read tier")
 	}
 	if c.DiskResidentVectors && c.Dir == "" {
 		return errors.New("lake: DiskResidentVectors requires Dir")
@@ -369,9 +367,6 @@ func Open(cfg Config) (*Lake, error) {
 }
 
 func (l *Lake) newIndex() index.Index {
-	if l.cfg.UseHNSW {
-		return index.NewHNSW(index.Cosine, index.HNSWConfig{Seed: l.cfg.Seed})
-	}
 	if l.cfg.PQSubspaces > 0 {
 		return index.NewFlatPQ(index.Cosine, l.quantConfig())
 	}

@@ -557,7 +557,7 @@ func TestLakeAtScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale test skipped in -short")
 	}
-	l, err := Open(Config{Seed: 99, UseHNSW: true})
+	l, err := Open(Config{Seed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,7 +574,7 @@ func TestLakeAtScale(t *testing.T) {
 		t.Fatalf("Count = %d, want 150", l.Count())
 	}
 
-	// Content search still retrieves same-family models through the HNSW.
+	// Content search still retrieves same-family models.
 	good, total := 0, 0
 	for i := 0; i < len(pop.Members); i += 10 {
 		hits, err := l.SearchByModel(ids[i], "behavior", 5)

@@ -19,7 +19,6 @@ import (
 )
 
 func TestScaleConfigValidation(t *testing.T) {
-	dir := t.TempDir()
 	bad := []struct {
 		name string
 		cfg  Config
@@ -27,12 +26,9 @@ func TestScaleConfigValidation(t *testing.T) {
 	}{
 		{"rescore without tier", Config{RescoreFactor: 8}, "RescoreFactor requires"},
 		{"rescore below floor", Config{Quantize: true, RescoreFactor: MinRescoreFactor - 1}, "below minimum"},
-		{"hnsw with quantize", Config{UseHNSW: true, Quantize: true}, "incompatible"},
-		{"hnsw with disk", Config{Dir: dir, UseHNSW: true, DiskResidentVectors: true}, "incompatible"},
 		{"disk without dir", Config{DiskResidentVectors: true}, "requires Dir"},
 		{"negative pq subspaces", Config{PQSubspaces: -1}, "negative"},
 		{"pq with quantize", Config{PQSubspaces: 8, Quantize: true}, "choose one"},
-		{"hnsw with pq", Config{UseHNSW: true, PQSubspaces: 8}, "incompatible"},
 		{"pq rescore below floor", Config{PQSubspaces: 8, RescoreFactor: MinRescoreFactor - 1}, "below minimum"},
 	}
 	for _, tc := range bad {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"modellake/internal/fault"
+	"modellake/internal/raceflag"
 )
 
 // kwVocab is a small vocabulary with deliberately skewed frequencies:
@@ -325,7 +326,7 @@ func TestKeywordBlockMaxActuallyPrunes(t *testing.T) {
 // index (pooled scratch) must stay within a small per-query allocation
 // budget that does not scale with corpus size.
 func TestKeywordSearchAllocs(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("allocation counts are meaningless under -race instrumentation")
 	}
 	rng := rand.New(rand.NewSource(5))

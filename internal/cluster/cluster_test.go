@@ -326,3 +326,68 @@ func TestClusterReopensAndContinuesIDSequence(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterReopenDrainBuildsSegments is the 2 shards × 1 replica arm of
+// the lake's reopen-drain contract: after the first keyword search of a
+// reopened cluster every node — leaders and followers alike — holds its
+// rehydrated cards in compact segments with an empty map tier, and the
+// scatter-gathered answers are bitwise those of a single lake that was never
+// closed.
+func TestClusterReopenDrainBuildsSegments(t *testing.T) {
+	ctx := context.Background()
+	pop := testPopulation(t, 57, 6, 7)
+	single, err := lake.Open(lake.Config{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	fillLake(t, single, pop)
+
+	cfg := Config{Dir: t.TempDir(), Shards: 2, Replicas: 1, Lake: lake.Config{Sync: true, Seed: 7}}
+	c, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillCluster(t, c, pop)
+	if err := c.FlushReplication(ctx); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	if c, err = Open(cfg); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	for _, q := range []string{"legal statute court", "medical clinical", "synthetic benchmark model", "nonexistenttoken42"} {
+		got, err := c.SearchKeywordContext(ctx, q, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := single.SearchKeywordContext(ctx, q, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameHits(t, "reopened cluster "+q, want, got)
+	}
+	docs := 0
+	for _, sh := range c.shards {
+		nodes := []*lake.Lake{sh.leader}
+		for _, r := range sh.replicas {
+			nodes = append(nodes, r.lk)
+		}
+		for n, lk := range nodes {
+			st := lk.TierMemStats()
+			if st.KeywordMapDocs != 0 || st.KeywordSegmentDocs == 0 {
+				t.Fatalf("shard %d node %d after the drain: %+v; want every card in a segment", sh.idx, n, st)
+			}
+			if n == 0 {
+				docs += st.KeywordSegmentDocs
+			} else if st.KeywordSegmentDocs != nodes[0].TierMemStats().KeywordSegmentDocs {
+				t.Fatalf("shard %d: follower holds %d docs, leader %d", sh.idx, st.KeywordSegmentDocs, nodes[0].TierMemStats().KeywordSegmentDocs)
+			}
+		}
+	}
+	if docs != single.TierMemStats().KeywordMapDocs {
+		t.Fatalf("cluster segments hold %d docs, the single lake's map tier %d", docs, single.TierMemStats().KeywordMapDocs)
+	}
+}

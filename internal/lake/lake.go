@@ -48,6 +48,7 @@ var (
 	mIngests    = obs.Default().Counter("lake_ingests_total")
 	mIngestDur  = obs.Default().Histogram("lake_ingest_duration_seconds", nil)
 	mQueryDur   = obs.Default().Histogram("lake_query_duration_seconds", nil)
+	mKwDrainDur = obs.Default().Histogram("lake_keyword_drain_seconds", nil)
 	mSearchDurs = func(kind string) *obs.Histogram {
 		return obs.Default().Histogram("lake_search_duration_seconds", nil, obs.L("kind", kind))
 	}
@@ -115,10 +116,12 @@ type Config struct {
 	// to the in-RAM index; segments are derived state, verified against
 	// the current cards on reopen and rebuilt from them on any damage.
 	DiskResidentPostings bool
-	// KeywordMergeThreshold overrides how many documents a keyword shard's
-	// live map tier absorbs before merging into its compact segment. Zero
-	// means the default (search.DefaultKeywordMergeThreshold); negative
-	// disables merging, keeping the pure map-tier behaviour.
+	// KeywordMergeThreshold overrides how many freshly written documents a
+	// keyword shard's map tier buffers before merging into its compact
+	// segment. Zero means the default (search.DefaultKeywordMergeThreshold);
+	// negative disables segments, keeping the pure map-tier behaviour. A
+	// reopened lake's cards are bulk-built into segments on the first
+	// keyword request whatever the (non-negative) threshold.
 	KeywordMergeThreshold int
 	// IngestParallelism bounds the embedding worker pool used by batch
 	// ingest, reindexing, and rehydration. Zero or negative means
@@ -362,6 +365,14 @@ func Open(cfg Config) (*Lake, error) {
 	obs.Default().CounterFunc("lake_query_cache_misses_total", func() float64 {
 		_, m := l.QueryCacheStats()
 		return float64(m)
+	})
+	obs.Default().GaugeFunc("keyword_map_docs", func() float64 {
+		m, _ := l.keyword.TierDocs()
+		return float64(m)
+	})
+	obs.Default().GaugeFunc("keyword_segment_docs", func() float64 {
+		_, g := l.keyword.TierDocs()
+		return float64(g)
 	})
 	return l, nil
 }
@@ -684,6 +695,8 @@ func runParallel(n, parallelism int, fn func(int)) {
 // rehydrate: model handles load on first task search instead of on every
 // reopen. Models that fail to load (e.g. deleted since) are skipped, which
 // matches the eager path's "nothing content-indexable survives" policy.
+// taskReady flips only once the queue is seen empty, so a caller arriving
+// mid-drain waits on rosterMu instead of searching a partial roster.
 func (l *Lake) ensureTaskRoster() {
 	l.mu.RLock()
 	ready := l.taskReady
@@ -693,25 +706,34 @@ func (l *Lake) ensureTaskRoster() {
 	}
 	l.rosterMu.Lock()
 	defer l.rosterMu.Unlock()
-	l.mu.Lock()
-	pending := l.taskPending
-	l.taskPending = nil
-	l.taskReady = true
-	l.mu.Unlock()
-	for _, id := range pending {
-		h, err := l.Model(id)
-		if err != nil {
-			continue
+	for {
+		l.mu.Lock()
+		pending := l.taskPending
+		l.taskPending = nil
+		if len(pending) == 0 {
+			l.taskReady = true
+			l.mu.Unlock()
+			return
 		}
-		l.taskSearch.Add(h)
+		l.mu.Unlock()
+		for _, id := range pending {
+			h, err := l.Model(id)
+			if err != nil {
+				continue
+			}
+			l.taskSearch.Add(h)
+		}
 	}
 }
 
 // ensureKeyword materializes the keyword index deferred by rehydrate: cards
-// load and tokenize on the first keyword search instead of on every reopen.
-// A PutCard racing the drain is safe — keyword.Add replaces a model's
-// document, and the drain reads the registry's current (already updated)
-// card.
+// load on the first keyword search instead of on every reopen, in parallel,
+// and go to the index as one bulk load that builds each shard's compact
+// segment directly. kwReady flips only after the load, so a caller arriving
+// mid-drain waits on kwMu instead of searching a partial index. A PutCard
+// racing the drain is safe either way round: the drain reads the registry's
+// current (already updated) card, BulkLoad leaves a document some Add
+// already indexed alone, and an Add after the load replaces as usual.
 func (l *Lake) ensureKeyword() {
 	l.mu.RLock()
 	ready := l.kwReady
@@ -724,16 +746,27 @@ func (l *Lake) ensureKeyword() {
 	l.mu.Lock()
 	pending := l.kwPending
 	l.kwPending = nil
+	l.mu.Unlock()
+	if len(pending) > 0 {
+		start := time.Now()
+		docs := make([]search.Doc, len(pending))
+		runParallel(len(pending), l.cfg.IngestParallelism, func(i int) {
+			if c, err := l.reg.Card(pending[i]); err == nil {
+				docs[i] = search.Doc{ID: pending[i], Text: c.Text()}
+			}
+		})
+		carded := docs[:0]
+		for _, d := range docs {
+			if d.ID != "" {
+				carded = append(carded, d)
+			}
+		}
+		l.keyword.BulkLoad(carded, l.cfg.IngestParallelism)
+		mKwDrainDur.Since(start)
+	}
+	l.mu.Lock()
 	l.kwReady = true
 	l.mu.Unlock()
-	for _, id := range pending {
-		if c, err := l.reg.Card(id); err == nil {
-			// Drained documents are fresh to the index (adopted segments
-			// were excluded from the backlog), so Add's only failure mode
-			// — a disk demote during replace — cannot occur.
-			_ = l.keyword.Add(id, c.Text())
-		}
-	}
 }
 
 // taskSearchAdd routes a freshly ingested behaviour-indexed model into the
@@ -798,7 +831,7 @@ func (l *Lake) Ready() error {
 func (l *Lake) Count() int { return l.reg.Count() }
 
 // TierMemStats breaks the lake's index-resident heap down by storage tier.
-// All three fields use the same accounting heuristics (16-byte string
+// The three byte counts use the same accounting heuristics (16-byte string
 // headers, 48-byte map buckets), so the numbers are comparable across tiers
 // and across lake configurations — a disk-resident lake's vector and
 // postings tiers shrink to their in-RAM metadata while KV stays put.
@@ -806,6 +839,10 @@ type TierMemStats struct {
 	VectorBytes   int64 `json:"vector_bytes"`   // both content-space ANN indexes
 	PostingsBytes int64 `json:"postings_bytes"` // keyword index, map tier + segments
 	KVBytes       int64 `json:"kv_bytes"`       // metadata store's live key/value map
+	// Where the keyword index's documents sit: the map tier is the write
+	// buffer, segments are the read tier.
+	KeywordMapDocs     int `json:"keyword_map_docs"`
+	KeywordSegmentDocs int `json:"keyword_segment_docs"`
 }
 
 // TierMemStats reports the lake's current per-tier index memory. The keyword
@@ -813,10 +850,13 @@ type TierMemStats struct {
 // footprint rather than the lazy-rehydrate queue's zero.
 func (l *Lake) TierMemStats() TierMemStats {
 	l.ensureKeyword()
+	mapDocs, segDocs := l.keyword.TierDocs()
 	return TierMemStats{
-		VectorBytes:   l.behaviorCS.MemBytes() + l.weightCS.MemBytes(),
-		PostingsBytes: l.keyword.MemBytes(),
-		KVBytes:       l.kv.ApproxMemBytes(),
+		VectorBytes:        l.behaviorCS.MemBytes() + l.weightCS.MemBytes(),
+		PostingsBytes:      l.keyword.MemBytes(),
+		KVBytes:            l.kv.ApproxMemBytes(),
+		KeywordMapDocs:     mapDocs,
+		KeywordSegmentDocs: segDocs,
 	}
 }
 

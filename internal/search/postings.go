@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/crc64"
 	"sort"
+
+	"modellake/internal/data"
 )
 
 // This file implements the immutable postings segment behind the sharded
@@ -266,100 +268,188 @@ func (b *segmentBuilder) finish() *PostingsSegment {
 	return &b.seg
 }
 
-// buildSegment merges a shard's live map tier with its previous segment
-// (either may be empty/nil) into a fresh in-RAM segment. The two tiers
-// hold disjoint document sets — that invariant is what keeps per-term
-// document frequencies a simple sum. Reading the old segment can fail on
-// a disk-resident source; the error aborts the build with no state changed.
-func buildSegment(memPostings map[string]map[string]int, memLens map[string]int,
-	memCRCs map[string]uint64, old *PostingsSegment) (*PostingsSegment, error) {
+// postingsRun is a batch of documents in the form buildSegment consumes:
+// a document table sorted by ID (index == local ordinal), a sorted terms
+// list, and per term its postings in ascending local ordinal. Both producers
+// — runFromMaps for a shard's live map tier, runFromDocs for a bulk load —
+// reduce to this shape, so there is one merge into the segment format.
+type postingsRun struct {
+	ids   []string
+	lens  []uint32
+	crcs  []uint64
+	terms []string
+	start []int // terms[t] owns ords/tfs[start[t]:start[t+1]]
+	ords  []uint32
+	tfs   []uint32
+}
 
-	// Document table: sorted union of both tiers. Ordinal == sorted rank.
-	nOld := 0
-	if old != nil {
-		nOld = len(old.docIDs)
+// runFromMaps flattens a shard's map tier into a run.
+func runFromMaps(postings map[string]map[string]int, docLens map[string]int, docCRCs map[string]uint64) *postingsRun {
+	r := &postingsRun{
+		ids:   make([]string, 0, len(docLens)),
+		lens:  make([]uint32, len(docLens)),
+		crcs:  make([]uint64, len(docLens)),
+		terms: make([]string, 0, len(postings)),
+		start: make([]int, 1, len(postings)+1),
 	}
-	ids := make([]string, 0, nOld+len(memLens))
-	if old != nil {
-		ids = append(ids, old.docIDs...)
+	for id := range docLens {
+		r.ids = append(r.ids, id)
 	}
-	for id := range memLens {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for i := 1; i < len(ids); i++ {
-		if ids[i] == ids[i-1] {
-			return nil, fmt.Errorf("search: document %q present in both postings tiers", ids[i])
-		}
-	}
-	ord := make(map[string]uint32, len(ids))
-	for i, id := range ids {
+	sort.Strings(r.ids)
+	ord := make(map[string]uint32, len(r.ids))
+	for i, id := range r.ids {
 		ord[id] = uint32(i)
+		r.lens[i] = uint32(docLens[id])
+		r.crcs[i] = docCRCs[id]
 	}
+	for tok := range postings {
+		r.terms = append(r.terms, tok)
+	}
+	sort.Strings(r.terms)
+	for _, tok := range r.terms {
+		from := len(r.ords)
+		for id, tf := range postings[tok] {
+			r.ords = append(r.ords, ord[id])
+			r.tfs = append(r.tfs, uint32(tf))
+		}
+		sort.Sort(&postingsByOrd{r.ords[from:], r.tfs[from:]})
+		r.start = append(r.start, len(r.ords))
+	}
+	return r
+}
 
+// runFromDocs tokenizes a batch of documents straight into a run, with no
+// nested maps in between. docs must be sorted by ID without duplicates.
+// Walking the documents in ordinal order means every term's postings are
+// emitted already ascending, so one counting sort by term groups them.
+func runFromDocs(docs []Doc) *postingsRun {
+	r := &postingsRun{
+		ids:  make([]string, len(docs)),
+		lens: make([]uint32, len(docs)),
+		crcs: make([]uint64, len(docs)),
+	}
+	type rawPosting struct{ term, ord, tf uint32 }
+	termID := map[string]uint32{}
+	var names []string // term ID -> term
+	var dfs []int      // term ID -> document frequency
+	var raw []rawPosting
+	for d, doc := range docs {
+		toks := data.Tokenize(doc.Text)
+		r.ids[d], r.lens[d], r.crcs[d] = doc.ID, uint32(len(toks)), textCRC(doc.Text)
+		sort.Strings(toks)
+		for i := 0; i < len(toks); {
+			j := i + 1
+			for j < len(toks) && toks[j] == toks[i] {
+				j++
+			}
+			id, ok := termID[toks[i]]
+			if !ok {
+				id = uint32(len(names))
+				termID[toks[i]] = id
+				names = append(names, toks[i])
+				dfs = append(dfs, 0)
+			}
+			dfs[id]++
+			raw = append(raw, rawPosting{id, uint32(d), uint32(j - i)})
+			i = j
+		}
+	}
+	// Rank the terms by name, then scatter the postings into rank order.
+	byName := make([]uint32, len(names))
+	for i := range byName {
+		byName[i] = uint32(i)
+	}
+	sort.Slice(byName, func(a, b int) bool { return names[byName[a]] < names[byName[b]] })
+	r.terms = make([]string, len(names))
+	r.start = make([]int, len(names)+1)
+	next := make([]int, len(names)) // term ID -> next free slot
+	for rank, id := range byName {
+		r.terms[rank] = names[id]
+		next[id] = r.start[rank]
+		r.start[rank+1] = r.start[rank] + dfs[id]
+	}
+	r.ords = make([]uint32, len(raw))
+	r.tfs = make([]uint32, len(raw))
+	for _, p := range raw {
+		r.ords[next[p.term]], r.tfs[next[p.term]] = p.ord, p.tf
+		next[p.term]++
+	}
+	return r
+}
+
+// buildSegment merges a run of fresh documents with the shard's previous
+// segment (nil when there is none) into a fresh in-RAM segment. The two hold
+// disjoint document sets — that invariant is what keeps per-term document
+// frequencies a simple sum — and both are sorted by ID, so the merged
+// ordinals are monotone in each source's and every step is a two-way merge.
+// Reading the old segment can fail on a disk-resident source; the error
+// aborts the build with no state changed.
+func buildSegment(run *postingsRun, old *PostingsSegment) (*PostingsSegment, error) {
+	if old == nil {
+		old = &PostingsSegment{}
+	}
+	// Document table: sorted union. Ordinal == sorted rank.
+	n := len(run.ids) + len(old.docIDs)
 	b := &segmentBuilder{}
-	b.seg.docIDs = ids
-	b.seg.docLens = make([]uint32, len(ids))
-	b.seg.docCRCs = make([]uint64, len(ids))
-	for i, id := range ids {
-		if dl, ok := memLens[id]; ok {
-			b.seg.docLens[i] = uint32(dl)
-			b.seg.docCRCs[i] = memCRCs[id]
-			b.seg.totalLen += int64(dl)
+	b.seg.docIDs = make([]string, 0, n)
+	b.seg.docLens = make([]uint32, 0, n)
+	b.seg.docCRCs = make([]uint64, 0, n)
+	b.seg.totalLen = old.totalLen
+	runOrd := make([]uint32, len(run.ids))    // run ordinal -> new ordinal
+	oldOrd := make([]uint32, len(old.docIDs)) // old ordinal -> new ordinal
+	for i, j := 0, 0; i < len(run.ids) || j < len(old.docIDs); {
+		switch {
+		case j == len(old.docIDs) || (i < len(run.ids) && run.ids[i] < old.docIDs[j]):
+			runOrd[i] = uint32(len(b.seg.docIDs))
+			b.seg.docIDs = append(b.seg.docIDs, run.ids[i])
+			b.seg.docLens = append(b.seg.docLens, run.lens[i])
+			b.seg.docCRCs = append(b.seg.docCRCs, run.crcs[i])
+			b.seg.totalLen += int64(run.lens[i])
+			i++
+		case i == len(run.ids) || old.docIDs[j] < run.ids[i]:
+			oldOrd[j] = uint32(len(b.seg.docIDs))
+			b.seg.docIDs = append(b.seg.docIDs, old.docIDs[j])
+			b.seg.docLens = append(b.seg.docLens, old.docLens[j])
+			b.seg.docCRCs = append(b.seg.docCRCs, old.docCRCs[j])
+			j++
+		default:
+			return nil, fmt.Errorf("search: document %q present in both postings tiers", run.ids[i])
 		}
-	}
-	var remap []uint32 // old ordinal -> new ordinal
-	if old != nil {
-		remap = make([]uint32, len(old.docIDs))
-		for i, id := range old.docIDs {
-			no := ord[id]
-			remap[i] = no
-			b.seg.docLens[no] = old.docLens[i]
-			b.seg.docCRCs[no] = old.docCRCs[i]
-		}
-		b.seg.totalLen += old.totalLen
 	}
 
-	// Terms: sorted union of the mem tier's tokens and the old dictionary.
-	terms := make([]string, 0, len(memPostings)+func() int {
-		if old != nil {
-			return len(old.terms)
-		}
-		return 0
-	}())
-	for tok := range memPostings {
-		terms = append(terms, tok)
-	}
-	if old != nil {
-		for _, tok := range old.terms {
-			if _, inMem := memPostings[tok]; !inMem {
-				terms = append(terms, tok)
-			}
-		}
-	}
-	sort.Strings(terms)
-
+	// Terms: sorted union; a term in both sources interleaves its postings.
 	var ords, tfs []uint32
-	for _, tok := range terms {
+	for t, ot := 0, 0; t < len(run.terms) || ot < len(old.terms); {
+		var term string
+		switch {
+		case ot == len(old.terms):
+			term = run.terms[t]
+		case t == len(run.terms):
+			term = old.terms[ot]
+		default:
+			term = min(run.terms[t], old.terms[ot])
+		}
 		ords, tfs = ords[:0], tfs[:0]
-		if m := memPostings[tok]; len(m) > 0 {
-			for id, tf := range m {
-				ords = append(ords, ord[id])
-				tfs = append(tfs, uint32(tf))
-			}
+		p, end := 0, 0 // the run's postings of term still to emit
+		if t < len(run.terms) && run.terms[t] == term {
+			p, end = run.start[t], run.start[t+1]
+			t++
 		}
-		if old != nil {
-			if ot, ok := old.termIndex(tok); ok {
-				if err := old.forEachPosting(ot, func(o, tf uint32) {
-					ords = append(ords, remap[o])
-					tfs = append(tfs, tf)
-				}); err != nil {
-					return nil, err
+		if ot < len(old.terms) && old.terms[ot] == term {
+			if err := old.forEachPosting(ot, func(o, tf uint32) {
+				for ; p < end && runOrd[run.ords[p]] < oldOrd[o]; p++ {
+					ords, tfs = append(ords, runOrd[run.ords[p]]), append(tfs, run.tfs[p])
 				}
+				ords, tfs = append(ords, oldOrd[o]), append(tfs, tf)
+			}); err != nil {
+				return nil, err
 			}
+			ot++
 		}
-		sort.Sort(&postingsByOrd{ords, tfs})
-		b.addTerm(tok, ords, tfs)
+		for ; p < end; p++ {
+			ords, tfs = append(ords, runOrd[run.ords[p]]), append(tfs, run.tfs[p])
+		}
+		b.addTerm(term, ords, tfs)
 	}
 	return b.finish(), nil
 }

@@ -101,14 +101,14 @@ func TestPostingsSegmentRoundtrip(t *testing.T) {
 			i++
 			if i == nDocs/2 {
 				var err error
-				gen1, err = buildSegment(mem, lens, crcs, nil)
+				gen1, err = buildSegment(runFromMaps(mem, lens, crcs), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				mem, lens, crcs = map[string]map[string]int{}, map[string]int{}, map[string]uint64{}
 			}
 		}
-		seg, err := buildSegment(mem, lens, crcs, gen1)
+		seg, err := buildSegment(runFromMaps(mem, lens, crcs), gen1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,7 +376,7 @@ func TestPostingsSegmentDamage(t *testing.T) {
 			mem[tok][id]++
 		}
 	}
-	seg, err := buildSegment(mem, lens, crcs, nil)
+	seg, err := buildSegment(runFromMaps(mem, lens, crcs), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,88 +455,115 @@ func TestKeywordCrashWindowSweep(t *testing.T) {
 		wantFor[q] = oracle.Search(q, 10)
 	}
 
-	workload := func(dir string, fsys *fault.FS) (*ShardedKeywordIndex, []error) {
-		idx := NewShardedKeywordIndexConfig(KeywordConfig{
-			Shards: 2, MergeThreshold: 8, Dir: dir, FS: fsys,
-		})
-		var errs []error
-		for _, id := range ids {
-			if err := idx.Add(id, docs[id]); err != nil {
+	// Two ways a segment gets published: merges and a final Flush as
+	// documents trickle in through Add (what Close does), and one BulkLoad
+	// on top of segments already in place (what the lake's reopen drain does).
+	for _, wl := range []struct {
+		name string
+		load func(idx *ShardedKeywordIndex) []error
+	}{
+		{"add+flush", func(idx *ShardedKeywordIndex) []error {
+			var errs []error
+			for _, id := range ids {
+				if err := idx.Add(id, docs[id]); err != nil {
+					errs = append(errs, err)
+				}
+			}
+			if err := idx.Flush(); err != nil {
 				errs = append(errs, err)
 			}
-		}
-		if err := idx.Flush(); err != nil {
-			errs = append(errs, err)
-		}
-		return idx, errs
-	}
-
-	// Enumerate the workload's fault points.
-	rec := &fault.Recorder{}
-	idx, errs := workload(t.TempDir(), fault.New(rec))
-	if len(errs) > 0 {
-		t.Fatalf("clean run errored: %v", errs)
-	}
-	idx.Close()
-	nOps := len(rec.Ops())
-	if nOps == 0 {
-		t.Fatal("recorder saw no segment IO; sweep is vacuous")
-	}
-
-	for n := 1; n <= nOps; n++ {
-		for _, mode := range []struct {
-			name   string
-			script *fault.Script
-		}{
-			{"clean", &fault.Script{FailAt: n}},
-			{"torn", &fault.Script{FailAt: n, Torn: 3}},
-			{"sticky", &fault.Script{FailAt: n, Sticky: true}},
-		} {
-			dir := t.TempDir()
-			idx, _ := workload(dir, fault.New(mode.script))
-			// Contract 1: the live index answers bitwise-correctly no
-			// matter which op failed — documents whose merge failed are
-			// still served from the map tier.
-			for _, q := range queries {
-				got, err := idx.Search(q, 10)
-				if err != nil {
-					t.Fatalf("op %d (%s): live search %q: %v", n, mode.name, q, err)
+			return errs
+		}},
+		{"bulk", func(idx *ShardedKeywordIndex) []error {
+			var errs []error
+			for _, id := range ids[:nDocs/3] {
+				if err := idx.Add(id, docs[id]); err != nil {
+					errs = append(errs, err)
 				}
-				requireSameHits(t, fmt.Sprintf("op %d (%s) live %q", n, mode.name, q), got, wantFor[q])
 			}
-			idx.Close()
-
-			// Contract 2: reopen. Adopt whatever files survived (fault-free
-			// FS now — the "disk" is healthy again), top up the uncovered
-			// documents, and demand bitwise-correct answers.
-			re := NewShardedKeywordIndexConfig(KeywordConfig{
-				Shards: 2, MergeThreshold: 8, Dir: dir,
+			var batch []Doc
+			for _, id := range ids[nDocs/3:] {
+				batch = append(batch, Doc{id, docs[id]})
+			}
+			idx.BulkLoad(batch, 2)
+			return errs
+		}},
+	} {
+		workload := func(dir string, fsys *fault.FS) (*ShardedKeywordIndex, []error) {
+			idx := NewShardedKeywordIndexConfig(KeywordConfig{
+				Shards: 2, MergeThreshold: 8, Dir: dir, FS: fsys,
 			})
-			covered := map[string]bool{}
-			for _, id := range re.AdoptSegments(func(docID string, crc uint64) bool {
-				text, ok := docs[docID]
-				return ok && textCRC(text) == crc
-			}) {
-				if covered[id] {
-					t.Fatalf("op %d (%s): doc %s covered twice", n, mode.name, id)
+			return idx, wl.load(idx)
+		}
+
+		// Enumerate the workload's fault points.
+		rec := &fault.Recorder{}
+		idx, errs := workload(t.TempDir(), fault.New(rec))
+		if len(errs) > 0 {
+			t.Fatalf("%s: clean run errored: %v", wl.name, errs)
+		}
+		idx.Close()
+		nOps := len(rec.Ops())
+		if nOps == 0 {
+			t.Fatalf("%s: recorder saw no segment IO; sweep is vacuous", wl.name)
+		}
+
+		for n := 1; n <= nOps; n++ {
+			for _, mode := range []struct {
+				name   string
+				script *fault.Script
+			}{
+				{"clean", &fault.Script{FailAt: n}},
+				{"torn", &fault.Script{FailAt: n, Torn: 3}},
+				{"sticky", &fault.Script{FailAt: n, Sticky: true}},
+			} {
+				label := fmt.Sprintf("%s op %d (%s)", wl.name, n, mode.name)
+				dir := t.TempDir()
+				idx, _ := workload(dir, fault.New(mode.script))
+				// Contract 1: the live index answers bitwise-correctly no
+				// matter which op failed — documents whose merge failed are
+				// still served from the map tier.
+				for _, q := range queries {
+					got, err := idx.Search(q, 10)
+					if err != nil {
+						t.Fatalf("%s: live search %q: %v", label, q, err)
+					}
+					requireSameHits(t, fmt.Sprintf("%s live %q", label, q), got, wantFor[q])
 				}
-				covered[id] = true
-			}
-			for _, id := range ids {
-				if !covered[id] {
-					if err := re.Add(id, docs[id]); err != nil {
-						t.Fatalf("op %d (%s): re-add %s: %v", n, mode.name, id, err)
+				idx.Close()
+
+				// Contract 2: reopen. Adopt whatever files survived (fault-free
+				// FS now — the "disk" is healthy again), top up the uncovered
+				// documents, and demand bitwise-correct answers.
+				re := NewShardedKeywordIndexConfig(KeywordConfig{
+					Shards: 2, MergeThreshold: 8, Dir: dir,
+				})
+				covered := map[string]bool{}
+				for _, id := range re.AdoptSegments(func(docID string, crc uint64) bool {
+					text, ok := docs[docID]
+					return ok && textCRC(text) == crc
+				}) {
+					if covered[id] {
+						t.Fatalf("%s: doc %s covered twice", label, id)
+					}
+					covered[id] = true
+				}
+				var uncovered []Doc
+				for _, id := range ids {
+					if !covered[id] {
+						uncovered = append(uncovered, Doc{id, docs[id]})
 					}
 				}
-			}
-			for _, q := range queries {
-				got, err := re.Search(q, 10)
-				if err != nil {
-					t.Fatalf("op %d (%s): reopened search %q: %v", n, mode.name, q, err)
+				re.BulkLoad(uncovered, 2)
+				for _, q := range queries {
+					got, err := re.Search(q, 10)
+					if err != nil {
+						t.Fatalf("%s: reopened search %q: %v", label, q, err)
+					}
+					requireSameHits(t, fmt.Sprintf("%s reopened %q", label, q), got, wantFor[q])
 				}
-				requireSameHits(t, fmt.Sprintf("op %d (%s) reopened %q", n, mode.name, q), got, wantFor[q])
+				re.Close()
 			}
-			re.Close()
 		}
 	}
 }

@@ -2,9 +2,9 @@ package search
 
 import (
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"time"
 
@@ -139,10 +139,15 @@ func NewShardedKeywordIndexConfig(cfg KeywordConfig) *ShardedKeywordIndex {
 	return s
 }
 
+// shardIndex places docID by 32-bit FNV-1a, inlined over the string so the
+// per-Add hash allocates nothing. Published segment files record the
+// placement, so the function must keep agreeing with hash/fnv.
 func (s *ShardedKeywordIndex) shardIndex(docID string) int {
-	h := fnv.New32a()
-	h.Write([]byte(docID))
-	return int(h.Sum32() % uint32(len(s.shards)))
+	h := uint32(2166136261)
+	for i := 0; i < len(docID); i++ {
+		h = (h ^ uint32(docID[i])) * 16777619
+	}
+	return int(h % uint32(len(s.shards)))
 }
 
 func (s *ShardedKeywordIndex) segPath(i int) string {
@@ -153,7 +158,8 @@ func (s *ShardedKeywordIndex) segPath(i int) string {
 // same ID. Only docID's shard is locked, so adds of different documents
 // proceed in parallel. Replacing a document that lives in the shard's
 // segment demotes the segment back into the map tier first (segments are
-// immutable and tombstone-free); a demote that fails — possible only with
+// immutable and tombstone-free) and merges it again before returning, so a
+// compacted shard stays compacted; a demote that fails — possible only with
 // disk-resident blocks — leaves the index unchanged and is the only error
 // Add can return. A failed merge is not an error: the document is safely
 // in the map tier and the merge retries once the tier grows further.
@@ -163,6 +169,7 @@ func (s *ShardedKeywordIndex) Add(docID, text string) error {
 	sh := s.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	demoted := false
 	if _, ok := sh.docLens[docID]; ok {
 		sh.removeMemLocked(docID)
 	} else if sh.seg != nil && sh.seg.contains(docID) {
@@ -170,7 +177,18 @@ func (s *ShardedKeywordIndex) Add(docID, text string) error {
 			return fmt.Errorf("replacing %s: %w", docID, err)
 		}
 		sh.removeMemLocked(docID)
+		demoted = true
 	}
+	sh.addMemLocked(docID, text)
+	if demoted || (len(sh.docLens) >= s.mergeThreshold && len(sh.docLens) >= sh.nextMerge) {
+		s.tryMergeLocked(i, sh)
+	}
+	return nil
+}
+
+// addMemLocked tokenizes text into the shard's map tier. docID must not be
+// in either tier.
+func (sh *keywordShard) addMemLocked(docID, text string) {
 	toks := data.Tokenize(text)
 	sh.docLens[docID] = len(toks)
 	sh.docCRCs[docID] = textCRC(text)
@@ -183,23 +201,33 @@ func (s *ShardedKeywordIndex) Add(docID, text string) error {
 		}
 		m[docID]++
 	}
-	if s.mergeThreshold > 0 && len(sh.docLens) >= s.mergeThreshold && len(sh.docLens) >= sh.nextMerge {
-		if err := s.mergeShardLocked(i, sh); err != nil {
-			mKwMergeFails.Inc()
-			sh.nextMerge = len(sh.docLens) + s.mergeThreshold
-		} else {
-			sh.nextMerge = 0
-		}
+}
+
+// tryMergeLocked merges the shard's map tier into its segment when merging
+// is enabled. A failure leaves the documents in the map tier and defers the
+// retry until the tier has grown by another threshold — otherwise a sticky
+// disk fault would re-attempt a full merge on every Add.
+func (s *ShardedKeywordIndex) tryMergeLocked(i int, sh *keywordShard) {
+	if s.mergeThreshold <= 0 || len(sh.docLens) == 0 {
+		return
 	}
-	return nil
+	if err := s.mergeShardLocked(i, sh); err != nil {
+		mKwMergeFails.Inc()
+		sh.nextMerge = len(sh.docLens) + s.mergeThreshold
+	} else {
+		sh.nextMerge = 0
+	}
 }
 
 // Remove drops a document from the index. Removing a segment-resident
-// document demotes the segment into the map tier first.
+// document demotes the segment into the map tier first and merges the
+// remainder again, like a replacing Add.
 func (s *ShardedKeywordIndex) Remove(docID string) error {
-	sh := s.shards[s.shardIndex(docID)]
+	i := s.shardIndex(docID)
+	sh := s.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	demoted := false
 	if _, ok := sh.docLens[docID]; !ok {
 		if sh.seg == nil || !sh.seg.contains(docID) {
 			return nil
@@ -207,9 +235,93 @@ func (s *ShardedKeywordIndex) Remove(docID string) error {
 		if err := sh.demoteLocked(); err != nil {
 			return fmt.Errorf("removing %s: %w", docID, err)
 		}
+		demoted = true
 	}
 	sh.removeMemLocked(docID)
+	if demoted {
+		s.tryMergeLocked(i, sh)
+	}
 	return nil
+}
+
+// Doc is one document of a BulkLoad batch.
+type Doc struct{ ID, Text string }
+
+// BulkLoad indexes a batch of documents the index does not hold yet — the
+// reopen path, where the whole corpus arrives at once. Each shard's share is
+// tokenized straight into a sorted run and merged with the shard's existing
+// segment by the code a map-tier merge uses, never passing through the
+// nested maps; shards build on up to parallelism goroutines (<= 0 means
+// GOMAXPROCS). A document already present in either tier is left alone: the
+// Add that put it there raced this load and carries text at least as new. A
+// shard whose merge fails, and every shard when merging is disabled, takes
+// its documents into the map tier instead, exactly as Add would.
+func (s *ShardedKeywordIndex) BulkLoad(docs []Doc, parallelism int) {
+	mKwAdds.Add(uint64(len(docs)))
+	byShard := make([][]Doc, len(s.shards))
+	for _, d := range docs {
+		i := s.shardIndex(d.ID)
+		byShard[i] = append(byShard[i], d)
+	}
+	sem := make(chan struct{}, normalizeParallelism(parallelism))
+	var wg sync.WaitGroup
+	for i, share := range byShard {
+		if len(share) == 0 {
+			continue
+		}
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int, share []Doc) {
+			defer wg.Done()
+			s.bulkLoadShard(i, share)
+			<-sem
+		}(i, share)
+	}
+	wg.Wait()
+}
+
+func (s *ShardedKeywordIndex) bulkLoadShard(i int, docs []Doc) {
+	// Sort by ID; of a repeated ID the last entry wins, as a loop of Adds
+	// would have it.
+	sort.SliceStable(docs, func(a, b int) bool { return docs[a].ID < docs[b].ID })
+	uniq := docs[:0]
+	for j, d := range docs {
+		if j+1 == len(docs) || docs[j+1].ID != d.ID {
+			uniq = append(uniq, d)
+		}
+	}
+	docs = uniq
+	// Tokenize outside the lock, on the expectation that nothing in the
+	// batch is indexed yet; only a racing Add makes the run stale.
+	var run *postingsRun
+	if s.mergeThreshold > 0 {
+		run = runFromDocs(docs)
+	}
+	sh := s.shards[i]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	absent := docs[:0]
+	for _, d := range docs {
+		if _, inMem := sh.docLens[d.ID]; !inMem && (sh.seg == nil || !sh.seg.contains(d.ID)) {
+			absent = append(absent, d)
+		}
+	}
+	if len(absent) == 0 {
+		return
+	}
+	if s.mergeThreshold > 0 {
+		if len(absent) < len(docs) {
+			run = runFromDocs(absent)
+		}
+		if err := s.mergeRunLocked(i, sh, run); err == nil {
+			return
+		}
+		mKwMergeFails.Inc()
+		sh.nextMerge = len(sh.docLens) + len(absent) + s.mergeThreshold
+	}
+	for _, d := range absent {
+		sh.addMemLocked(d.ID, d.Text)
+	}
 }
 
 func (sh *keywordShard) removeMemLocked(docID string) {
@@ -260,13 +372,25 @@ func (sh *keywordShard) demoteLocked() error {
 	return nil
 }
 
-// mergeShardLocked builds a fresh segment from the shard's map tier plus
-// its existing segment, publishes it to disk when the index is
-// disk-resident, and resets the map tier. On any error the shard is left
-// exactly as it was.
+// mergeShardLocked merges the shard's map tier into its segment and resets
+// the map tier. On any error the shard is left exactly as it was.
 func (s *ShardedKeywordIndex) mergeShardLocked(i int, sh *keywordShard) error {
+	if err := s.mergeRunLocked(i, sh, runFromMaps(sh.postings, sh.docLens, sh.docCRCs)); err != nil {
+		return err
+	}
+	sh.postings = make(map[string]map[string]int)
+	sh.docLens = make(map[string]int)
+	sh.docCRCs = make(map[string]uint64)
+	sh.totalLen = 0
+	return nil
+}
+
+// mergeRunLocked builds a fresh segment from run plus the shard's existing
+// segment, publishes it to disk when the index is disk-resident, and swaps
+// it in. On any error the shard is left exactly as it was.
+func (s *ShardedKeywordIndex) mergeRunLocked(i int, sh *keywordShard, run *postingsRun) error {
 	start := time.Now()
-	seg, err := buildSegment(sh.postings, sh.docLens, sh.docCRCs, sh.seg)
+	seg, err := buildSegment(run, sh.seg)
 	if err != nil {
 		return err
 	}
@@ -289,10 +413,6 @@ func (s *ShardedKeywordIndex) mergeShardLocked(i int, sh *keywordShard) error {
 		sh.seg.src.close()
 	}
 	sh.seg = seg
-	sh.postings = make(map[string]map[string]int)
-	sh.docLens = make(map[string]int)
-	sh.docCRCs = make(map[string]uint64)
-	sh.totalLen = 0
 	mKwMerges.Inc()
 	mKwMergeDur.Since(start)
 	return nil
@@ -419,16 +539,22 @@ func (s *ShardedKeywordIndex) MemBytes() int64 {
 
 // Len returns the number of indexed documents.
 func (s *ShardedKeywordIndex) Len() int {
-	n := 0
+	mapDocs, segDocs := s.TierDocs()
+	return mapDocs + segDocs
+}
+
+// TierDocs returns how many documents sit in the live map tier and how many
+// in compact segments, summed over shards.
+func (s *ShardedKeywordIndex) TierDocs() (mapDocs, segDocs int) {
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		n += len(sh.docLens)
+		mapDocs += len(sh.docLens)
 		if sh.seg != nil {
-			n += sh.seg.DocCount()
+			segDocs += sh.seg.DocCount()
 		}
 		sh.mu.RUnlock()
 	}
-	return n
+	return mapDocs, segDocs
 }
 
 // KeywordStats are the corpus-wide BM25 statistics for one tokenized query:

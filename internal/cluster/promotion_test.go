@@ -103,7 +103,7 @@ func TestAutomaticPromotionOnKill(t *testing.T) {
 // replicas after a restart, and a second round of kills promotes the
 // rejoined nodes (epoch 2) with the same guarantees.
 func TestPromotionChaosSweep(t *testing.T) {
-	pop := chaosPopulation(t)
+	pop := chaosPopulation(t, 1)
 	n := len(pop.Members)
 	stride := 1
 	if testing.Short() {
@@ -239,7 +239,7 @@ func TestOldLeaderTailTruncatedOnRejoin(t *testing.T) {
 	}
 	defer c.Close()
 
-	pop := chaosPopulation(t)
+	pop := chaosPopulation(t, 1)
 	var acked []string
 	for _, m := range pop.Members {
 		rec, err := c.Ingest(m.Model, m.Card, registry.RegisterOptions{Name: m.Truth.Name, Version: "1"})

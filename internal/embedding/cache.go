@@ -4,29 +4,22 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
-	"hash/fnv"
 	"math"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 
-	"modellake/internal/fault"
 	"modellake/internal/model"
 	"modellake/internal/tensor"
 )
 
-// This file is the embedding cache behind the parallel ingest pipeline:
-// embedding a model is the CPU-heavy stage of indexing, and both reindexing
-// and repeated lake-task experiments embed the same weights again and again.
-// The cache is content-addressed — keyed by (embedder name, SHA-256 of the
-// model's flattened weights) inside a namespace that encodes the lake's
-// embedding configuration — so a cached vector can only ever be returned
-// for the exact function application that produced it. Entries carry a
-// checksum and are verified on load: a torn or corrupted cache file is a
-// cache miss that falls back to recomputation, never a wrong vector.
+// This file is the in-process embedding memo: embedding a model is the
+// CPU-heavy stage of indexing, and related-model queries and repeated
+// lake-task experiments embed the same weights again and again. The memo is
+// content-addressed — keyed by (embedder name, SHA-256 of the model's
+// flattened weights) — so a cached vector can only ever be returned for the
+// exact function application that produced it. It is never persisted: the
+// durable copy of an ingested model's embedding is the lake's vec/<id>
+// record, and anything else is recomputed.
 
 // Fingerprint returns a content hash of the model's parameters θ, the cache
 // key component that changes iff the weights change. Models that withhold
@@ -48,20 +41,12 @@ func Fingerprint(h *model.Handle) (string, bool) {
 	return hex.EncodeToString(hash.Sum(nil)), true
 }
 
-// vecMagic heads every cache file; bumping it invalidates all caches.
-const vecMagic = "MLVC1\n"
-
-// VectorCache stores embedding vectors keyed by (embedder name, weights
-// fingerprint). It always keeps an in-process map; with a non-empty
-// directory it additionally persists entries (atomic temp+rename writes
-// routed through an optional fault-injectable filesystem) so caches survive
-// restarts and are shared across lake reopens. All methods are safe for
-// concurrent use.
+// VectorCache memoizes embedding vectors keyed by (embedder name, weights
+// fingerprint) in a bounded in-process map. One cache must only ever see one
+// embedding configuration: every parameter that changes embedder output
+// (probe seeds, dimensions, counts) is fixed for the embedders it wraps. All
+// methods are safe for concurrent use.
 type VectorCache struct {
-	dir       string // "" = memory only
-	namespace string
-	fsys      *fault.FS
-
 	mu  sync.RWMutex
 	mem map[string]tensor.Vector
 
@@ -69,19 +54,9 @@ type VectorCache struct {
 	misses atomic.Uint64
 }
 
-// NewVectorCache opens a cache rooted at dir (created on demand; empty for
-// memory-only). namespace isolates incompatible embedding configurations —
-// callers must fold every parameter that changes embedder output (probe
-// seeds, dimensions, counts) into it, because the cache trusts the namespace
-// for invalidation. fsys routes persistence IO for fault injection; nil uses
-// the real filesystem.
-func NewVectorCache(dir, namespace string, fsys *fault.FS) *VectorCache {
-	return &VectorCache{
-		dir:       dir,
-		namespace: namespace,
-		fsys:      fsys,
-		mem:       make(map[string]tensor.Vector),
-	}
+// NewVectorCache returns an empty cache.
+func NewVectorCache() *VectorCache {
+	return &VectorCache{mem: make(map[string]tensor.Vector)}
 }
 
 // Stats reports cache hits and misses since construction.
@@ -89,39 +64,14 @@ func (c *VectorCache) Stats() (hits, misses uint64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// sanitize maps an embedder name like "hybrid(weight+behavior)" to a
-// filesystem-safe path component.
-func sanitize(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-			return r
-		}
-		return '_'
-	}, s)
-}
-
-// vectorCacheMemEntries bounds the in-process map. The map is a recompute
-// (or disk-reread) accelerator, not a source of truth, so when it fills up
-// it is simply reset — an O(1) eviction that keeps a sustained ingest of
-// fresh fingerprints (each a guaranteed miss) from pinning every embedding
-// the lake has ever produced in RAM.
+// vectorCacheMemEntries bounds the map. It is a recompute accelerator, not a
+// source of truth, so when it fills up it is simply reset — an O(1) eviction
+// that keeps a sustained ingest of fresh fingerprints (each a guaranteed
+// miss) from pinning every embedding the lake has ever produced in RAM.
 const vectorCacheMemEntries = 8192
-
-// storeLocked inserts under the entry cap; callers hold c.mu.
-func (c *VectorCache) storeLocked(key string, v tensor.Vector) {
-	if len(c.mem) >= vectorCacheMemEntries {
-		c.mem = make(map[string]tensor.Vector, vectorCacheMemEntries/4)
-	}
-	c.mem[key] = v
-}
 
 func (c *VectorCache) memKey(embedder, fp string) string {
 	return embedder + "\x00" + fp
-}
-
-func (c *VectorCache) pathFor(embedder, fp string) string {
-	return filepath.Join(c.dir, sanitize(c.namespace), sanitize(embedder), fp+".vec")
 }
 
 // Get returns the cached vector for (embedder, fp) if present and valid.
@@ -137,115 +87,19 @@ func (c *VectorCache) Get(embedder string, dim int, fp string) (tensor.Vector, b
 		c.hits.Add(1)
 		return v.Clone(), true
 	}
-	if c.dir != "" {
-		if v, ok := loadVecFile(c.pathFor(embedder, fp)); ok && len(v) == dim {
-			c.mu.Lock()
-			c.storeLocked(key, v)
-			c.mu.Unlock()
-			c.hits.Add(1)
-			return v.Clone(), true
-		}
-	}
 	c.misses.Add(1)
 	return nil, false
 }
 
-// Put stores v under (embedder, fp). Persistence is best-effort: an IO
-// failure degrades the cache (the entry stays in memory) but is returned so
-// callers that care — the crash sweep — can observe it.
-func (c *VectorCache) Put(embedder, fp string, v tensor.Vector) error {
-	key := c.memKey(embedder, fp)
+// Put stores a copy of v under (embedder, fp), resetting the map first when
+// it is at the entry cap.
+func (c *VectorCache) Put(embedder, fp string, v tensor.Vector) {
 	c.mu.Lock()
-	c.storeLocked(key, v.Clone())
-	c.mu.Unlock()
-	if c.dir == "" {
-		return nil
+	defer c.mu.Unlock()
+	if len(c.mem) >= vectorCacheMemEntries {
+		c.mem = make(map[string]tensor.Vector, vectorCacheMemEntries/4)
 	}
-	return c.writeVecFile(c.pathFor(embedder, fp), v)
-}
-
-// encodeVec renders the cache file: magic, dim, payload, then an FNV-64a
-// checksum over everything before it. The checksum is what turns a torn
-// write into a detected miss instead of a silently wrong vector.
-func encodeVec(v tensor.Vector) []byte {
-	buf := make([]byte, 0, len(vecMagic)+4+8*len(v)+8)
-	buf = append(buf, vecMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v)))
-	for _, x := range v {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-	}
-	sum := fnv.New64a()
-	sum.Write(buf)
-	return binary.LittleEndian.AppendUint64(buf, sum.Sum64())
-}
-
-// loadVecFile reads and verifies one cache file. Any defect — short file,
-// bad magic, length mismatch, checksum mismatch, non-finite component —
-// reports ok=false, which callers treat as a miss.
-func loadVecFile(path string) (tensor.Vector, bool) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false
-	}
-	if len(b) < len(vecMagic)+4+8 || string(b[:len(vecMagic)]) != vecMagic {
-		return nil, false
-	}
-	payload, sumBytes := b[:len(b)-8], b[len(b)-8:]
-	sum := fnv.New64a()
-	sum.Write(payload)
-	if sum.Sum64() != binary.LittleEndian.Uint64(sumBytes) {
-		return nil, false
-	}
-	dim := int(binary.LittleEndian.Uint32(payload[len(vecMagic):]))
-	data := payload[len(vecMagic)+4:]
-	if dim < 0 || len(data) != 8*dim {
-		return nil, false
-	}
-	v := make(tensor.Vector, dim)
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
-		if math.IsNaN(v[i]) || math.IsInf(v[i], 0) {
-			return nil, false
-		}
-	}
-	return v, true
-}
-
-// writeVecFile persists one entry atomically: temp file, write, fsync,
-// rename, directory fsync — the same discipline as the blob store, so a
-// crash leaves either the old state or the complete new file.
-func (c *VectorCache) writeVecFile(path string, v tensor.Vector) error {
-	dir := filepath.Dir(path)
-	if err := c.fsys.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("embedding: cache dir: %w", err)
-	}
-	tmp, err := c.fsys.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("embedding: cache temp: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(encodeVec(v)); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("embedding: cache write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("embedding: cache sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("embedding: cache close: %w", err)
-	}
-	if err := c.fsys.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("embedding: cache rename: %w", err)
-	}
-	if err := c.fsys.SyncDir(dir); err != nil {
-		return fmt.Errorf("embedding: cache dir sync: %w", err)
-	}
-	return nil
+	c.mem[c.memKey(embedder, fp)] = v.Clone()
 }
 
 // Cached wraps an embedder with a vector cache. It must only wrap embedders
@@ -272,8 +126,8 @@ func (e *Cached) Name() string { return e.Inner.Name() }
 // Dim implements Embedder.
 func (e *Cached) Dim() int { return e.Inner.Dim() }
 
-// Embed implements Embedder: cache hit, else compute and (best-effort)
-// persist. Models without a stable fingerprint bypass the cache entirely.
+// Embed implements Embedder: cache hit, else compute and remember. Models
+// without a stable fingerprint bypass the cache entirely.
 func (e *Cached) Embed(h *model.Handle) (tensor.Vector, error) {
 	fp, ok := Fingerprint(h)
 	if !ok {
@@ -286,6 +140,6 @@ func (e *Cached) Embed(h *model.Handle) (tensor.Vector, error) {
 	if err != nil {
 		return nil, err
 	}
-	_ = e.Cache.Put(e.Inner.Name(), fp, v) // cache is an accelerator; IO failure must not fail the embed
+	e.Cache.Put(e.Inner.Name(), fp, v)
 	return v, nil
 }

@@ -2,8 +2,6 @@ package embedding
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -44,107 +42,70 @@ func TestFingerprintTracksWeights(t *testing.T) {
 }
 
 func TestVectorCacheRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	c := NewVectorCache(dir, "ns", nil)
+	c := NewVectorCache()
 	v := tensor.Vector{1.5, -2.25, 0, 1e-300}
-	if err := c.Put("weight", "fp1", v); err != nil {
-		t.Fatal(err)
-	}
+	c.Put("weight", "fp1", v)
+	// The cache keeps its own copy: mutating the caller's vector after Put,
+	// or the returned one after Get, must not poison the entry.
+	v[1] = 777
 	got, ok := c.Get("weight", len(v), "fp1")
 	if !ok {
 		t.Fatal("miss after put")
 	}
-	for i := range v {
-		if got[i] != v[i] {
-			t.Fatalf("roundtrip[%d] = %v, want %v", i, got[i], v[i])
+	want := tensor.Vector{1.5, -2.25, 0, 1e-300}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("roundtrip[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
-	// The returned vector is a copy: mutating it must not poison the cache.
 	got[0] = 999
 	again, _ := c.Get("weight", len(v), "fp1")
 	if again[0] != 1.5 {
 		t.Fatal("cache entry aliased to caller's vector")
 	}
-	// A second cache over the same directory reads the persisted entry.
-	c2 := NewVectorCache(dir, "ns", nil)
-	if _, ok := c2.Get("weight", len(v), "fp1"); !ok {
-		t.Fatal("persisted entry not visible to a fresh cache")
-	}
 	// Wrong dimension and wrong embedder are misses.
-	if _, ok := c2.Get("weight", len(v)+1, "fp1"); ok {
+	if _, ok := c.Get("weight", len(v)+1, "fp1"); ok {
 		t.Fatal("dimension mismatch served from cache")
 	}
-	if _, ok := c2.Get("behavior", len(v), "fp1"); ok {
+	if _, ok := c.Get("behavior", len(v), "fp1"); ok {
 		t.Fatal("other embedder's entry served")
 	}
-	hits, misses := c2.Stats()
-	if hits != 1 || misses != 2 {
-		t.Fatalf("stats = %d hits %d misses, want 1/2", hits, misses)
+	hits, misses := c.Stats()
+	if hits != 2 || misses != 2 {
+		t.Fatalf("stats = %d hits %d misses, want 2/2", hits, misses)
 	}
 }
 
-func TestVectorCacheNamespaceIsolation(t *testing.T) {
-	dir := t.TempDir()
-	a := NewVectorCache(dir, "cfgA", nil)
-	if err := a.Put("weight", "fp", tensor.Vector{1, 2}); err != nil {
-		t.Fatal(err)
+// TestVectorCacheResetsAtCap: the memo is bounded — the insert that would
+// exceed the cap starts a fresh map instead of growing without limit.
+func TestVectorCacheResetsAtCap(t *testing.T) {
+	c := NewVectorCache()
+	for i := 0; i < vectorCacheMemEntries; i++ {
+		c.Put("e", fmt.Sprintf("fp%d", i), tensor.Vector{float64(i)})
 	}
-	b := NewVectorCache(dir, "cfgB", nil)
-	if _, ok := b.Get("weight", 2, "fp"); ok {
-		t.Fatal("entry leaked across namespaces")
+	if _, ok := c.Get("e", 1, "fp0"); !ok {
+		t.Fatal("entry evicted below the cap")
 	}
-}
-
-// TestVectorCacheCorruptionDetected: every way a cache file can rot — torn
-// tail, flipped byte, truncated header, garbage — must read as a miss,
-// never as a wrong vector.
-func TestVectorCacheCorruptionDetected(t *testing.T) {
-	dir := t.TempDir()
-	c := NewVectorCache(dir, "ns", nil)
-	v := tensor.Vector{3.14, 2.71, -1.61}
-	if err := c.Put("weight", "fp", v); err != nil {
-		t.Fatal(err)
+	c.Put("e", "one-more", tensor.Vector{-1})
+	if _, ok := c.Get("e", 1, "fp0"); ok {
+		t.Fatal("cap reached but old entries survived")
 	}
-	path := filepath.Join(dir, "ns", "weight", "fp.vec")
-	pristine, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	if got, ok := c.Get("e", 1, "one-more"); !ok || got[0] != -1 {
+		t.Fatalf("entry that triggered the reset was lost: %v %v", got, ok)
 	}
-	corruptions := map[string][]byte{
-		"empty":          {},
-		"torn-half":      pristine[:len(pristine)/2],
-		"torn-one-byte":  pristine[:len(pristine)-1],
-		"bad-magic":      append([]byte("XXXXX\n"), pristine[6:]...),
-		"garbage":        []byte("not a cache file at all"),
-		"extra-tail":     append(append([]byte{}, pristine...), 0xFF),
-		"flipped-middle": flipByte(pristine, len(pristine)/2),
-		"flipped-sum":    flipByte(pristine, len(pristine)-1),
+	c.mu.RLock()
+	n := len(c.mem)
+	c.mu.RUnlock()
+	if n != 1 {
+		t.Fatalf("map holds %d entries after reset, want 1", n)
 	}
-	for name, data := range corruptions {
-		t.Run(name, func(t *testing.T) {
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			fresh := NewVectorCache(dir, "ns", nil)
-			if got, ok := fresh.Get("weight", len(v), "fp"); ok {
-				t.Fatalf("corrupted file served as a hit: %v", got)
-			}
-		})
-	}
-}
-
-func flipByte(b []byte, i int) []byte {
-	out := append([]byte{}, b...)
-	out[i] ^= 0x40
-	return out
 }
 
 // TestCachedEmbedderHitsAndRecomputes: second embed of the same weights is
-// a cache hit with an identical vector; a corrupted entry silently
-// recomputes; a restricted handle bypasses the cache.
+// a cache hit with an identical vector; a fresh cache recomputes the same
+// vector; a restricted handle bypasses the cache.
 func TestCachedEmbedderHitsAndRecomputes(t *testing.T) {
-	dir := t.TempDir()
-	cache := NewVectorCache(dir, "ns", nil)
+	cache := NewVectorCache()
 	inner := NewWeightEmbedder(8, 2, 5)
 	emb := NewCached(inner, cache)
 	m := testModel(2)
@@ -167,18 +128,10 @@ func TestCachedEmbedderHitsAndRecomputes(t *testing.T) {
 		}
 	}
 
-	// Corrupt the persisted entry; a fresh cache must verify, miss, and
-	// recompute the exact same vector.
-	fp, _ := Fingerprint(h)
-	path := filepath.Join(dir, "ns", "weight", fp+".vec")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw[:len(raw)/3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fresh := NewCached(inner, NewVectorCache(dir, "ns", nil))
+	// Nothing outlives the cache value: a fresh one misses and recomputes
+	// the exact same vector.
+	freshCache := NewVectorCache()
+	fresh := NewCached(inner, freshCache)
 	recomputed, err := fresh.Embed(h)
 	if err != nil {
 		t.Fatal(err)
@@ -188,11 +141,14 @@ func TestCachedEmbedderHitsAndRecomputes(t *testing.T) {
 			t.Fatalf("recomputed vector differs at %d", i)
 		}
 	}
+	if h, m := freshCache.Stats(); h != 0 || m != 1 {
+		t.Fatalf("fresh cache stats = %d hits %d misses, want 0/1", h, m)
+	}
 
 	// Closed-weights handles bypass the cache entirely (BehaviorEmbedder
 	// can still embed them; the result is just never cached).
 	be := NewBehaviorEmbedder(8, 4, 8, 5)
-	cc := NewVectorCache("", "ns", nil)
+	cc := NewVectorCache()
 	cachedBE := NewCached(be, cc)
 	if _, err := cachedBE.Embed(model.WithViews(m, model.ViewExtrinsic)); err != nil {
 		t.Fatal(err)
@@ -210,7 +166,7 @@ func TestCachedEmbedderHitsAndRecomputes(t *testing.T) {
 // TestVectorCacheConcurrent hammers Put/Get from many goroutines over
 // overlapping keys; -race is the assertion, plus every hit must be correct.
 func TestVectorCacheConcurrent(t *testing.T) {
-	c := NewVectorCache(t.TempDir(), "ns", nil)
+	c := NewVectorCache()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -219,10 +175,7 @@ func TestVectorCacheConcurrent(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				key := fmt.Sprintf("fp%d", i%10)
 				want := tensor.Vector{float64(i % 10), 1}
-				if err := c.Put("e", key, want); err != nil {
-					t.Error(err)
-					return
-				}
+				c.Put("e", key, want)
 				if got, ok := c.Get("e", 2, key); ok && got[0] != want[0] {
 					t.Errorf("got %v for key %s", got, key)
 					return

@@ -21,7 +21,7 @@ import (
 
 // E14 measures the write-path overhaul end to end: group commit and atomic
 // batch records against the pre-overhaul one-fsync-per-key discipline, and
-// vec-record rehydration against the decode-and-embed reopen it replaced.
+// how fast a lake reopens from its vec records.
 //
 // The ingest arms all commit the *same durable state* — the exact live
 // key/value set a real ingest produces — so the comparison isolates the
@@ -36,8 +36,7 @@ import (
 //   - "batch apply" commits the keys in large atomic batch records — the
 //     path bulk ingest actually uses.
 //
-// The open arms build one durable lake and time Open with and without
-// EagerRehydrate — the measured claim behind the vec-record design.
+// The open arm builds one durable lake and times Open on it.
 
 // WriteBenchResult is the machine-readable summary cmd/lakebench writes to
 // BENCH_write.json. Durations are nanoseconds.
@@ -66,10 +65,8 @@ type WriteBenchResult struct {
 	SerialFsyncsPerModel float64 `json:"serial_fsyncs_per_model"`
 	BatchFsyncsPerModel  float64 `json:"batch_fsyncs_per_model"`
 
-	OpenModels  int     `json:"open_models"`
-	EagerOpenNs int64   `json:"eager_open_ns"`
-	FastOpenNs  int64   `json:"fast_open_ns"`
-	OpenSpeedup float64 `json:"open_speedup"` // eager / fast (target ≥ 3x)
+	OpenModels int   `json:"open_models"`
+	FastOpenNs int64 `json:"fast_open_ns"`
 }
 
 // RunE14 is the experiment-index entry point with default sizes.
@@ -111,7 +108,7 @@ func countFsyncs(rec *fault.Recorder) int {
 }
 
 // RunE14Write runs the write-path benchmark with nIngest models in the
-// ingest arms and nOpen models in the reopen arms (0 = defaults: 240 and
+// ingest arms and nOpen models in the reopen arm (0 = defaults: 240 and
 // 10000).
 func RunE14Write(seed uint64, nIngest, nOpen int) (*Table, *WriteBenchResult, error) {
 	if nIngest <= 0 {
@@ -126,7 +123,7 @@ func RunE14Write(seed uint64, nIngest, nOpen int) (*Table, *WriteBenchResult, er
 		Title: "write path: group commit, atomic batches, vec-record rehydrate",
 		Columns: []string{"arm", "time", "models/s", "fsyncs", "fsyncs/model",
 			"speedup"},
-		Notes: "ingest arms commit identical durable state; open arms rebuild identical indexes",
+		Notes: "ingest arms commit identical durable state; the open arm rebuilds the indexes from vec records",
 	}
 	items := e14Items(seed, nIngest)
 
@@ -189,21 +186,15 @@ func RunE14Write(seed uint64, nIngest, nOpen int) (*Table, *WriteBenchResult, er
 		f2(float64(applyFsyncs)/float64(nIngest)),
 		fmt.Sprintf("%.2fx", res.IngestSpeedup))
 
-	// --- Open arms: one durable lake, two rehydration strategies. --------
-	eagerNs, fastNs, err := e14OpenArms(seed, nOpen)
+	// --- Open arm: one durable lake, reopened from its vec records. ------
+	fastNs, err := e14OpenArm(seed, nOpen)
 	if err != nil {
 		return nil, nil, err
 	}
-	res.EagerOpenNs = eagerNs.Nanoseconds()
 	res.FastOpenNs = fastNs.Nanoseconds()
-	res.OpenSpeedup = float64(eagerNs) / float64(fastNs)
-	t.AddRow(fmt.Sprintf("open eager (%d models)", nOpen),
-		eagerNs.Round(time.Millisecond).String(),
-		f2(float64(nOpen)/eagerNs.Seconds()), "-", "-", "1.00x")
 	t.AddRow(fmt.Sprintf("open fast (%d models)", nOpen),
 		fastNs.Round(time.Millisecond).String(),
-		f2(float64(nOpen)/fastNs.Seconds()), "-", "-",
-		fmt.Sprintf("%.2fx", res.OpenSpeedup))
+		f2(float64(nOpen)/fastNs.Seconds()), "-", "-", "-")
 	return t, res, nil
 }
 
@@ -364,66 +355,49 @@ func e14ReplayBatch(pairs []kvstore.Op) (time.Duration, int, error) {
 	return time.Since(start), countFsyncs(rec), nil
 }
 
-// e14OpenArms builds one durable lake with nOpen models and times reopening
-// it with eager (decode-and-embed) and fast (vec-record) rehydration. Each
-// arm runs twice and keeps the faster run, damping filesystem-cache noise.
-func e14OpenArms(seed uint64, nOpen int) (eager, fast time.Duration, err error) {
+// e14OpenArm builds one durable lake with nOpen models and times reopening
+// it (parallel workers + vec records): the median of three runs, robust to
+// both a cold first run and a single lucky one.
+func e14OpenArm(seed uint64, nOpen int) (time.Duration, error) {
 	dir, err := os.MkdirTemp("", "e14-open-*")
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	defer os.RemoveAll(dir)
 	// The build can skip per-write fsyncs: Open replays the same log either
 	// way, and building 10k models with Sync would dominate the experiment.
 	l, err := lake.Open(lake.Config{Dir: dir, Seed: seed})
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	_, errs := l.IngestAll(e14Items(seed+1, nOpen), 0)
 	for i, e := range errs {
 		if e != nil {
 			l.Close()
-			return 0, 0, fmt.Errorf("E14: open-arm ingest item %d: %w", i, e)
+			return 0, fmt.Errorf("E14: open-arm ingest item %d: %w", i, e)
 		}
 	}
 	if err := l.Close(); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	// Median of three: robust to both a cold first run and a single lucky
-	// one, so the reported ratio is not at the mercy of one outlier.
-	timeOpen := func(cfg lake.Config) (time.Duration, error) {
-		var runs []time.Duration
-		for rep := 0; rep < 3; rep++ {
-			// The build phase leaves GC debt behind; collect it outside the
-			// timed region so neither arm pays for the other's garbage.
-			runtime.GC()
-			start := time.Now()
-			lk, err := lake.Open(cfg)
-			if err != nil {
-				return 0, err
-			}
-			el := time.Since(start)
-			if n := lk.Count(); n != nOpen {
-				lk.Close()
-				return 0, fmt.Errorf("E14: reopened lake has %d models, want %d", n, nOpen)
-			}
-			lk.Close()
-			runs = append(runs, el)
+	var runs []time.Duration
+	for rep := 0; rep < 3; rep++ {
+		// The build phase leaves GC debt behind; collect it outside the
+		// timed region.
+		runtime.GC()
+		start := time.Now()
+		lk, err := lake.Open(lake.Config{Dir: dir, Seed: seed})
+		if err != nil {
+			return 0, err
 		}
-		sort.Slice(runs, func(i, j int) bool { return runs[i] < runs[j] })
-		return runs[len(runs)/2], nil
+		el := time.Since(start)
+		n := lk.Count()
+		lk.Close()
+		if n != nOpen {
+			return 0, fmt.Errorf("E14: reopened lake has %d models, want %d", n, nOpen)
+		}
+		runs = append(runs, el)
 	}
-	// The baseline is the pre-overhaul Open: strictly serial rehydrate
-	// (IngestParallelism: 1) that decodes and re-embeds every model. The
-	// fast arm is the overhauled default: parallel workers + vec records.
-	eager, err = timeOpen(lake.Config{Dir: dir, Seed: seed, EagerRehydrate: true,
-		IngestParallelism: 1})
-	if err != nil {
-		return 0, 0, err
-	}
-	fast, err = timeOpen(lake.Config{Dir: dir, Seed: seed})
-	if err != nil {
-		return 0, 0, err
-	}
-	return eager, fast, nil
+	sort.Slice(runs, func(i, j int) bool { return runs[i] < runs[j] })
+	return runs[len(runs)/2], nil
 }

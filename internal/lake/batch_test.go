@@ -132,52 +132,9 @@ func TestIngestAllPartialFailure(t *testing.T) {
 	}
 }
 
-// TestLakeReindexPreservesSearch: Reindex rebuilds the content indexes from
-// the registry and searches answer identically afterwards; with the
-// embedding cache on, the rebuild is served from cache.
-func TestLakeReindexPreservesSearch(t *testing.T) {
-	pop := population(t, 63)
-	l, err := Open(Config{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	ids := fill(t, l, pop)
-
-	before, err := l.SearchByModel(ids[0], "behavior", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hitsBefore, _ := l.EmbedCacheStats()
-	n, err := l.Reindex(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(pop.Members) {
-		t.Fatalf("reindexed %d models, want %d", n, len(pop.Members))
-	}
-	after, err := l.SearchByModel(ids[0], "behavior", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(after) != fmt.Sprint(before) {
-		t.Fatalf("reindex changed results:\n before %v\n after  %v", before, after)
-	}
-	hitsAfter, _ := l.EmbedCacheStats()
-	if hitsAfter <= hitsBefore {
-		t.Fatalf("reindex did not hit the embedding cache (hits %d -> %d)", hitsBefore, hitsAfter)
-	}
-	// Task search still serves the full roster after the swap.
-	ds := pop.Datasets[pop.Members[0].Truth.DatasetID]
-	if hits, err := l.SearchTask(search.DatasetAsTask(ds, 8), 5); err != nil || len(hits) == 0 {
-		t.Fatalf("task search broken after reindex: %v %v", hits, err)
-	}
-}
-
-// TestDurableLakeReopenUsesEmbedCache: the default reopen rebuilds indexes
-// from the persisted vec records — zero re-embeds — and answers identically;
-// an EagerRehydrate reopen re-embeds every model and serves those embeds
-// from the on-disk cache.
+// TestDurableLakeReopenUsesEmbedCache: a reopen rebuilds the indexes from
+// the persisted vec records — zero embeds, so the embedding memo is never
+// consulted — and answers identically.
 func TestDurableLakeReopenUsesEmbedCache(t *testing.T) {
 	pop := population(t, 64)
 	dir := t.TempDir()
@@ -207,23 +164,5 @@ func TestDurableLakeReopenUsesEmbedCache(t *testing.T) {
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("vec-record rehydration changed results:\n before %v\n after  %v", want, got)
-	}
-	re.Close()
-
-	eager, err := Open(Config{Dir: dir, Seed: 8, EagerRehydrate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eager.Close()
-	hits, misses := eager.EmbedCacheStats()
-	if hits == 0 {
-		t.Fatalf("eager reopen hit the embedding cache 0 times (misses %d)", misses)
-	}
-	got, err = eager.SearchByModel(id0, "weights", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("eager rehydration changed results:\n before %v\n after  %v", want, got)
 	}
 }

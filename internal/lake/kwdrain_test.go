@@ -70,7 +70,7 @@ func TestConcurrentFirstSearchAfterReopen(t *testing.T) {
 	const n, clients = 2000, 8
 	ctx := context.Background()
 	pop := widePopulation(t, 41, n)
-	cfg := Config{Dir: t.TempDir(), Seed: 1, DisableEmbedCache: true}
+	cfg := Config{Dir: t.TempDir(), Seed: 1}
 	l, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestReopenDrainBuildsSegments(t *testing.T) {
 	// drain, not the adoption, has to produce (and publish) the segments.
 	reopen := func(cfg Config, loseSegments bool) *Lake {
 		t.Helper()
-		cfg.Dir, cfg.Seed, cfg.DisableEmbedCache = t.TempDir(), 1, true
+		cfg.Dir, cfg.Seed = t.TempDir(), 1
 		l, err := Open(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -252,7 +252,7 @@ func TestReopenDrainBuildsSegments(t *testing.T) {
 func TestPutCardRacesReopenDrain(t *testing.T) {
 	ctx := context.Background()
 	pop := widePopulation(t, 47, 250)
-	cfg := Config{Dir: t.TempDir(), Seed: 1, DisableEmbedCache: true}
+	cfg := Config{Dir: t.TempDir(), Seed: 1}
 	l, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -123,15 +123,10 @@ type Config struct {
 	// reopened lake's cards are bulk-built into segments on the first
 	// keyword request whatever the (non-negative) threshold.
 	KeywordMergeThreshold int
-	// IngestParallelism bounds the embedding worker pool used by batch
-	// ingest, reindexing, and rehydration. Zero or negative means
-	// GOMAXPROCS. Single-model Ingest is unaffected.
+	// IngestParallelism bounds the worker pool used by batch ingest (the
+	// embed stage), rehydration, and the keyword drain. Zero or negative
+	// means GOMAXPROCS. Single-model Ingest is unaffected.
 	IngestParallelism int
-	// DisableEmbedCache turns off the content-addressed embedding cache.
-	// By default embeddings are cached keyed by (embedder, weights hash) —
-	// in memory always, and on disk under Dir/embedcache for durable
-	// lakes — so reindexing and repeated experiments skip recomputation.
-	DisableEmbedCache bool
 	// DisableQueryCache turns off the invalidate-on-write LRU over
 	// content-search results (keyed by space + query-vector hash + k).
 	// By default repeated related-model queries against an unchanged lake
@@ -140,13 +135,6 @@ type Config struct {
 	// QueryCacheSize caps the query-result cache entry count. Zero or
 	// negative means the default (1024).
 	QueryCacheSize int
-	// EagerRehydrate forces reopen to decode and re-embed every stored
-	// model instead of rebuilding the content indexes from the persisted
-	// vec/<id> records. The results are identical either way; the eager
-	// path only exists as the measured baseline for the E14 write-path
-	// experiment and as a belt-and-braces escape hatch if persisted
-	// vectors are ever suspect.
-	EagerRehydrate bool
 	// VerifyBlobsOnOpen makes reopen read and checksum-verify every
 	// weights blob (a full integrity sweep, O(total weight bytes)). By
 	// default reopen only checks that every registered blob exists:
@@ -233,7 +221,7 @@ type Lake struct {
 	behaviorCS *search.ContentSearcher
 	weightCS   *search.ContentSearcher
 	taskSearch *search.TaskSearcher
-	embedCache *embedding.VectorCache // nil when disabled
+	embedCache *embedding.VectorCache // in-process memo, never persisted
 	qcache     *queryCache            // nil when disabled
 	vecNS      string                 // namespace stamped into persisted vec records
 
@@ -246,9 +234,8 @@ type Lake struct {
 
 	// Task-search roster, built lazily after a fast rehydrate: taskPending
 	// holds behaviour-indexed model IDs whose handles have not been loaded
-	// yet; the first SearchTask (or a Reindex) drains it. rosterMu
-	// serializes the drain so concurrent searches never see a half-built
-	// roster.
+	// yet; the first SearchTask drains it. rosterMu serializes the drain so
+	// concurrent searches never see a half-built roster.
 	rosterMu    sync.Mutex
 	taskReady   bool     // guarded by mu
 	taskPending []string // guarded by mu
@@ -275,6 +262,11 @@ func Open(cfg Config) (*Lake, error) {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("lake: create directory: %w", err)
 		}
+		// Older lakes carry a per-model embedding file cache here that
+		// nothing reads (vec records are the only durable embeddings);
+		// reclaim the bytes. Best-effort: a failure costs disk space,
+		// never Open.
+		_ = os.RemoveAll(filepath.Join(cfg.Dir, "embedcache"))
 		var err error
 		kv, err = kvstore.Open(filepath.Join(cfg.Dir, "lake.log"), kvstore.Options{Sync: cfg.Sync, FS: cfg.FS})
 		if err != nil {
@@ -308,6 +300,7 @@ func Open(cfg Config) (*Lake, error) {
 		runner:     benchmark.NewRunner(scoreKV),
 		keyword:    search.NewShardedKeywordIndexConfig(kwCfg),
 		taskSearch: &search.TaskSearcher{},
+		embedCache: embedding.NewVectorCache(),
 		modelCache: map[string]*model.Model{},
 		benchmarks: map[string]*benchmark.Benchmark{},
 		datasets:   map[string]*data.Dataset{},
@@ -316,17 +309,8 @@ func Open(cfg Config) (*Lake, error) {
 	}
 	// The namespace folds in every config knob that changes embedder
 	// output, so a lake reopened with different embedding parameters can
-	// never read vectors computed under the old ones — neither from the
-	// embedding cache nor from the persisted vec records.
-	ns := fmt.Sprintf("in%d_mc%d_p%d_s%d", cfg.InputDim, cfg.MaxClasses, cfg.Probes, cfg.Seed)
-	l.vecNS = ns
-	if !cfg.DisableEmbedCache {
-		cacheDir := ""
-		if cfg.Dir != "" {
-			cacheDir = filepath.Join(cfg.Dir, "embedcache")
-		}
-		l.embedCache = embedding.NewVectorCache(cacheDir, ns, cfg.FS)
-	}
+	// never read vec records computed under the old ones.
+	l.vecNS = fmt.Sprintf("in%d_mc%d_p%d_s%d", cfg.InputDim, cfg.MaxClasses, cfg.Probes, cfg.Seed)
 	if !cfg.DisableQueryCache {
 		l.qcache = newQueryCache(cfg.QueryCacheSize)
 	}
@@ -348,8 +332,8 @@ func Open(cfg Config) (*Lake, error) {
 	}
 	// Export the embedding-cache counters. CounterFunc replaces the reader
 	// on re-registration, so in a process that opens several lakes the
-	// metrics follow the most recently opened one (zeros when its cache is
-	// disabled) instead of pinning a closed lake's cache alive.
+	// metrics follow the most recently opened one instead of pinning a
+	// closed lake's cache alive.
 	obs.Default().CounterFunc("lake_embed_cache_hits_total", func() float64 {
 		h, _ := l.EmbedCacheStats()
 		return float64(h)
@@ -419,8 +403,7 @@ type hydrated struct {
 // the full integrity sweep: blob writes are atomic and every later Get
 // checksum-verifies, so fast Open stays O(records) instead of O(weight
 // bytes). Records without usable vectors (pre-vec lakes, changed
-// embedding config, EagerRehydrate) read, verify, decode, and re-embed,
-// with the embedding cache softening the cost.
+// embedding config) read, verify, decode, and re-embed.
 func (l *Lake) rehydrate() error {
 	recs, err := l.reg.List()
 	if err != nil {
@@ -579,15 +562,6 @@ func (l *Lake) hydrateOne(rec *registry.Record, known map[blob.ID]struct{}) hydr
 	if rec.Weights == "" {
 		return hydrated{} // closed-weights model: behaviour is gone across restarts
 	}
-	if l.cfg.EagerRehydrate {
-		// The pre-vec-record path, kept intact as the measured baseline:
-		// record re-read, blob read + verify, weight decode, re-embed.
-		m, err := l.reg.LoadModel(rec.ID)
-		if err != nil {
-			return hydrated{err: fmt.Errorf("lake: rehydrate %s: %w", rec.ID, err)}
-		}
-		return l.embedHydrated(m)
-	}
 	if b, err := l.kv.Get(vecKey(rec.ID)); err == nil {
 		if ns, vecs, err := decodeVecRecord(b); err == nil && ns == l.vecNS {
 			var h hydrated
@@ -629,7 +603,7 @@ func (l *Lake) hydrateOne(rec *registry.Record, known map[blob.ID]struct{}) hydr
 		}
 	}
 	// Fallback (pre-vec lakes, changed embedding config): read + verify the
-	// blob, decode the model, and embed it like ingest would.
+	// blob, decode the model, and embed it the way ingest does.
 	raw, err := l.blobs.Get(rec.Weights)
 	if err != nil {
 		return hydrated{err: fmt.Errorf("lake: rehydrate %s: %w", rec.ID, err)}
@@ -638,21 +612,9 @@ func (l *Lake) hydrateOne(rec *registry.Record, known map[blob.ID]struct{}) hydr
 	if err != nil {
 		return hydrated{err: fmt.Errorf("lake: rehydrate %s: decode weights: %w", rec.ID, err)}
 	}
-	return l.embedHydrated(&model.Model{ID: rec.ID, Name: rec.Name, Net: net, Hist: rec.Hist})
-}
-
-// embedHydrated embeds a decoded model for both content spaces — the shared
-// tail of the eager and fallback rehydrate paths.
-func (l *Lake) embedHydrated(m *model.Model) hydrated {
-	h := hydrated{m: m}
-	mh := model.NewHandle(m)
-	if v, err := l.behaviorCS.EmbedQuery(mh); err == nil {
-		h.bvec = v
-	}
-	if v, err := l.weightCS.EmbedQuery(mh); err == nil {
-		h.wvec = v
-	}
-	return h
+	m := &model.Model{ID: rec.ID, Name: rec.Name, Net: net, Hist: rec.Hist}
+	e := l.embedItem(m)
+	return hydrated{m: m, bvec: e.bvec, wvec: e.wvec}
 }
 
 // runParallel runs fn(0..n-1) across a bounded worker pool. parallelism <= 0
@@ -866,7 +828,6 @@ func (l *Lake) TierMemStats() TierMemStats {
 type embedded struct {
 	bvec, wvec tensor.Vector
 	fp         string
-	done       bool
 }
 
 // preparedIngest is one model's fully staged ingest: registry ops, the
@@ -885,7 +846,7 @@ type preparedIngest struct {
 // fingerprint. All of it is independent of the (not yet assigned) model ID,
 // which is what lets batch ingest run this stage on a worker pool.
 func (l *Lake) embedItem(m *model.Model) embedded {
-	e := embedded{done: true}
+	var e embedded
 	if m == nil {
 		return e
 	}
@@ -909,9 +870,6 @@ func (l *Lake) embedItem(m *model.Model) embedded {
 // serial ingest loop would. Nothing durable happens here beyond sequence
 // leases; the caller owns blob writes and the atomic Apply.
 func (l *Lake) prepareIngest(m *model.Model, c *card.Card, opts registry.RegisterOptions, e embedded, pending map[string]bool) (*preparedIngest, error) {
-	if !e.done {
-		e = l.embedItem(m)
-	}
 	if e.fp != "" && opts.WeightsFP == "" {
 		opts.WeightsFP = e.fp
 	}
@@ -976,7 +934,7 @@ func (l *Lake) Ingest(m *model.Model, c *card.Card, opts registry.RegisterOption
 	start := time.Now()
 	defer mIngestDur.Since(start)
 	mIngests.Inc()
-	p, err := l.prepareIngest(m, c, opts, embedded{}, map[string]bool{})
+	p, err := l.prepareIngest(m, c, opts, l.embedItem(m), map[string]bool{})
 	if err != nil {
 		return nil, err
 	}
@@ -1216,51 +1174,9 @@ func (l *Lake) IngestAllContext(ctx context.Context, items []IngestItem, paralle
 	return l.IngestAll(items, parallelism)
 }
 
-// Reindex rebuilds both content indexes (and the task-search roster) from
-// the registry with up to parallelism embedding workers, swapping the fresh
-// indexes in atomically; searches keep hitting the old ones until then.
-// With the embedding cache enabled the rebuild is almost pure cache hits.
-// It returns the number of models reindexed.
-func (l *Lake) Reindex(parallelism int) (int, error) {
-	recs, err := l.reg.List()
-	if err != nil {
-		return 0, err
-	}
-	var handles []*model.Handle
-	for _, rec := range recs {
-		h, err := l.Model(rec.ID)
-		if err != nil {
-			continue // closed-weights model: nothing content-indexable survives restarts
-		}
-		handles = append(handles, h)
-	}
-	if parallelism <= 0 {
-		parallelism = l.cfg.IngestParallelism
-	}
-	var taskRoster []*model.Handle
-	for i, err := range l.behaviorCS.Reindex(handles, l.newIndex(), parallelism) {
-		if err == nil {
-			taskRoster = append(taskRoster, handles[i])
-		}
-	}
-	_ = l.weightCS.Reindex(handles, l.newIndex(), parallelism)
-	l.taskSearch.Reset(taskRoster)
-	// The reset roster is complete: drop any rehydrate-deferred entries so
-	// a later SearchTask doesn't re-add them on top.
-	l.mu.Lock()
-	l.taskPending = nil
-	l.taskReady = true
-	l.mu.Unlock()
-	l.qcache.invalidate()
-	return len(handles), nil
-}
-
-// EmbedCacheStats reports embedding-cache hits and misses since the lake
-// was opened (zeros when the cache is disabled).
+// EmbedCacheStats reports the in-process embedding memo's hits and misses
+// since the lake was opened.
 func (l *Lake) EmbedCacheStats() (hits, misses uint64) {
-	if l.embedCache == nil {
-		return 0, 0
-	}
 	return l.embedCache.Stats()
 }
 
@@ -1420,7 +1336,7 @@ func (l *Lake) contentSearcher(space string) (*search.ContentSearcher, error) {
 }
 
 // searchContent is the shared model-as-query read path: embed the query
-// (embedding cache), consult the query-result cache for the raw top-(k+1)
+// (embedding memo), consult the query-result cache for the raw top-(k+1)
 // hits, fall through to the ANN index on a miss, then drop the query model's
 // own entry. Cached and uncached answers are identical by construction — the
 // cache stores the raw index response, and the same ExcludeSelf
@@ -1493,31 +1409,9 @@ func (l *Lake) SearchByHandleContext(ctx context.Context, h *model.Handle, space
 func (l *Lake) SearchByModelMany(ctx context.Context, ids []string, space string, k, parallelism int) ([][]search.Hit, []error) {
 	hits := make([][]search.Hit, len(ids))
 	errs := make([]error, len(ids))
-	if len(ids) == 0 {
-		return hits, errs
-	}
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > len(ids) {
-		parallelism = len(ids)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ids) {
-					return
-				}
-				hits[i], errs[i] = l.SearchByModelContext(ctx, ids[i], space, k)
-			}
-		}()
-	}
-	wg.Wait()
+	runParallel(len(ids), parallelism, func(i int) {
+		hits[i], errs[i] = l.SearchByModelContext(ctx, ids[i], space, k)
+	})
 	return hits, errs
 }
 

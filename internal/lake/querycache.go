@@ -18,9 +18,8 @@ import (
 // queries — the dominant read traffic in a serving lake, where popular
 // models are queried far more often than the catalog changes — skip the
 // index scan entirely. Every write that can change search results (ingest,
-// batch ingest, reindex) clears the whole cache: correctness over retention,
-// matching the embed cache's philosophy that a cache may only ever be a
-// speedup, never a divergence.
+// batch ingest) clears the whole cache: correctness over retention — a
+// cache may only ever be a speedup, never a divergence.
 //
 // Entries store the query vector itself and verify it on lookup, so even an
 // FNV-64 collision cannot surface another query's hits.

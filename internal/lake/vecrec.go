@@ -4,9 +4,11 @@ package lake
 // lake stores the model's content-search embeddings under vec/<id>, in the
 // same atomic kvstore batch as the registry record itself. Rehydration then
 // rebuilds the ANN indexes straight from the (already replayed, in-memory)
-// metadata log: no record re-decode, no weight decode, no re-embedding, and
-// no per-model cache-file IO — only the weights-blob checksum verification
-// remains per model. The record carries the embedding namespace (every
+// metadata log: no record re-decode, no weight decode, no re-embedding —
+// only the weights-blob existence check remains per model. These records
+// are the only durable copy of an embedding; everything else that holds one
+// (the ANN indexes, on-disk vector segments, the in-process memo) is derived
+// from them or recomputed. The record carries the embedding namespace (every
 // config knob that changes embedder output) plus per-space embedder names,
 // so a lake reopened with different embedding parameters ignores the stale
 // vectors and falls back to decode-and-embed for that model.
@@ -82,6 +84,11 @@ func decodeVecRecord(b []byte) (ns string, vecs []spaceVec, err error) {
 	p += nsLen
 	count := int(b[p])
 	p++
+	// Every length field is checked against the bytes behind it before
+	// anything is sized by it; a space entry is at least nameLen + dim.
+	if count*(1+4) > len(b)-p {
+		return fail()
+	}
 	vecs = make([]spaceVec, 0, count)
 	for i := 0; i < count; i++ {
 		if len(b) < p+1 {

@@ -82,59 +82,59 @@ func TestVecRecordMalformedRejected(t *testing.T) {
 	}
 }
 
-// TestRehydrateFastMatchesEager: the vec-record fast path and the
-// decode-and-embed eager path must produce byte-identical search behavior
-// across every modality — the fast path is an optimization, not a different
-// index.
+// TestRehydrateFastMatchesEager: a lake rebuilt from its vec records is the
+// lake that computed them. The reopened lake must answer every modality
+// byte-identically to the live, never-closed lake that embedded at ingest,
+// without embedding anything itself; and each stored vec record must hold,
+// bit for bit, what a fresh embed of the model loaded back from its blob
+// produces — the comparison a decode-and-embed reopen used to make.
 func TestRehydrateFastMatchesEager(t *testing.T) {
 	pop := population(t, 71)
 	dir := t.TempDir()
-	l, err := Open(Config{Dir: dir, Seed: 9})
+	live, err := Open(Config{Dir: dir, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := fill(t, l, pop)
-	l.Close()
+	defer live.Close()
+	ids := fill(t, live, pop)
 
 	fast, err := Open(Config{Dir: dir, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fast.Close()
-	eager, err := Open(Config{Dir: dir, Seed: 9, EagerRehydrate: true})
-	if err != nil {
-		t.Fatal(err)
+	if hits, misses := fast.EmbedCacheStats(); hits+misses != 0 {
+		t.Fatalf("vec-record reopen embedded (%d memo hits, %d misses)", hits, misses)
 	}
-	defer eager.Close()
 
-	if fast.Count() != eager.Count() {
-		t.Fatalf("counts differ: fast %d, eager %d", fast.Count(), eager.Count())
+	if fast.Count() != live.Count() {
+		t.Fatalf("counts differ: fast %d, live %d", fast.Count(), live.Count())
 	}
 	for _, space := range []string{"behavior", "weights"} {
 		for _, id := range ids {
-			want, err := eager.SearchByModel(id, space, 4)
+			want, err := live.SearchByModel(id, space, 4)
 			if err != nil {
-				t.Fatalf("eager %s/%s: %v", space, id, err)
+				t.Fatalf("live %s/%s: %v", space, id, err)
 			}
 			got, err := fast.SearchByModel(id, space, 4)
 			if err != nil {
 				t.Fatalf("fast %s/%s: %v", space, id, err)
 			}
 			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("%s search for %s differs:\n eager %v\n fast  %v", space, id, want, got)
+				t.Fatalf("%s search for %s differs:\n live %v\n fast %v", space, id, want, got)
 			}
 		}
 	}
 	for _, q := range []string{"legal", "medical summarization", "finance"} {
-		want := eager.SearchKeyword(q, 5)
+		want := live.SearchKeyword(q, 5)
 		got := fast.SearchKeyword(q, 5)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("keyword %q differs:\n eager %v\n fast  %v", q, want, got)
+			t.Fatalf("keyword %q differs:\n live %v\n fast %v", q, want, got)
 		}
 	}
 	ds := pop.Datasets[pop.Members[0].Truth.DatasetID]
 	examples := search.DatasetAsTask(ds, 12)
-	want, err := eager.SearchTask(examples, 5)
+	want, err := live.SearchTask(examples, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,54 @@ func TestRehydrateFastMatchesEager(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("task search differs:\n eager %v\n fast  %v", want, got)
+		t.Fatalf("task search differs:\n live %v\n fast %v", want, got)
+	}
+
+	// A third handle on the directory: its memo starts cold, so the embeds
+	// below are computed here from blob-loaded weights, not remembered from
+	// ingest.
+	fresh, err := Open(Config{Dir: dir, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	for _, id := range ids {
+		b, err := fresh.kv.Get(vecKey(id))
+		if err != nil {
+			t.Fatalf("%s has no vec record: %v", id, err)
+		}
+		ns, vecs, err := decodeVecRecord(b)
+		if err != nil || ns != fresh.vecNS {
+			t.Fatalf("%s vec record: ns %q err %v", id, ns, err)
+		}
+		h, err := fresh.Model(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(vecs) != 2 {
+			t.Fatalf("%s vec record holds %d spaces, want 2", id, len(vecs))
+		}
+		for _, sv := range vecs {
+			cs := fresh.behaviorCS
+			if sv.Space == fresh.weightCS.EmbedderName() {
+				cs = fresh.weightCS
+			}
+			if sv.Space != cs.EmbedderName() {
+				t.Fatalf("%s vec record names unknown space %q", id, sv.Space)
+			}
+			v, err := cs.EmbedQuery(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(v) != len(sv.Vec) {
+				t.Fatalf("%s %s: stored dim %d, fresh embed dim %d", id, sv.Space, len(sv.Vec), len(v))
+			}
+			for j := range v {
+				if math.Float64bits(v[j]) != math.Float64bits(sv.Vec[j]) {
+					t.Fatalf("%s %s[%d]: stored %v, fresh embed %v", id, sv.Space, j, sv.Vec[j], v[j])
+				}
+			}
+		}
 	}
 }
 
@@ -158,7 +205,6 @@ func TestRehydrateNamespaceMismatchFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := fill(t, l, pop)
-	id0 := ids[0]
 	l.Close()
 
 	// Different probe count → different behavior-embedding namespace.
@@ -170,31 +216,40 @@ func TestRehydrateNamespaceMismatchFallsBack(t *testing.T) {
 	if re.Count() != len(pop.Members) {
 		t.Fatalf("count = %d, want %d", re.Count(), len(pop.Members))
 	}
-	// The stale vec records must have been bypassed: the fallback re-embeds,
-	// which shows up as embedding-cache activity (the new namespace's cache
-	// starts cold, so these are misses and/or fresh hits — but not zero).
-	if hits, misses := re.EmbedCacheStats(); hits+misses == 0 {
-		t.Fatal("namespace mismatch did not fall back to re-embedding")
+	// The stale vec records must have been bypassed: the fallback embeds
+	// every model in both spaces through the (cold) memo. Members that share
+	// weights are the only possible hits.
+	if hits, misses := re.EmbedCacheStats(); hits+misses != uint64(2*len(pop.Members)) || misses <= hits {
+		t.Fatalf("fallback rehydration: %d memo hits + %d misses, want %d lookups, mostly misses",
+			hits, misses, 2*len(pop.Members))
 	}
-	hits, err := re.SearchByModel(id0, "behavior", 4)
+	// And the rebuilt indexes must agree with a lake that ingested the same
+	// models under the new config in the first place.
+	native, err := Open(Config{Seed: 10, Probes: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hits) == 0 {
-		t.Fatal("search after fallback rehydration returned nothing")
-	}
-	// And the rebuilt index must agree with an eager rebuild at the same
-	// (new) config — the fallback path is exactly the eager path per model.
-	eager, err := Open(Config{Dir: dir, Seed: 10, Probes: 24, EagerRehydrate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eager.Close()
-	want, err := eager.SearchByModel(id0, "behavior", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(hits) != fmt.Sprint(want) {
-		t.Fatalf("fallback rehydration differs from eager at same config:\n eager %v\n fast  %v", want, hits)
+	defer native.Close()
+	nativeIDs := fill(t, native, pop)
+	for _, space := range []string{"behavior", "weights"} {
+		for i, id := range ids {
+			if nativeIDs[i] != id {
+				t.Fatalf("member %d: id %s in the reopened lake, %s in the native one", i, id, nativeIDs[i])
+			}
+			want, err := native.SearchByModel(id, space, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := re.SearchByModel(id, space, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) == 0 {
+				t.Fatalf("%s search for %s after fallback rehydration returned nothing", space, id)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s search for %s: fallback rehydration differs from a native lake at the same config:\n native   %v\n fallback %v", space, id, want, got)
+			}
+		}
 	}
 }

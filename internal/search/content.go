@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"modellake/internal/data"
 	"modellake/internal/embedding"
@@ -116,7 +115,7 @@ func (s *ContentSearcher) AddVector(id string, v tensor.Vector) error {
 	return nil
 }
 
-// index snapshots the current index under the read lock: Reindex swaps the
+// index snapshots the current index under the read lock: AdoptIndex swaps the
 // index out atomically, and searches must not observe a half-assigned field.
 func (s *ContentSearcher) index() index.Index {
 	s.mu.RLock()
@@ -224,41 +223,6 @@ func (s *ContentSearcher) SearchByVectorContext(ctx context.Context, v tensor.Ve
 	return hits, nil
 }
 
-// SearchMany answers a batch of vector queries, fanning them across a
-// bounded worker pool — the read-path counterpart of AddAll. Results and
-// errors are aligned with queries; a failed query carries its error without
-// aborting the batch, except that a canceled context fails every query still
-// pending. parallelism <= 0 means GOMAXPROCS. Each individual answer is
-// identical to a serial SearchByVectorContext call with the same arguments.
-func (s *ContentSearcher) SearchMany(ctx context.Context, queries []tensor.Vector, k, parallelism int) ([][]Hit, []error) {
-	hits := make([][]Hit, len(queries))
-	errs := make([]error, len(queries))
-	if len(queries) == 0 {
-		return hits, errs
-	}
-	parallelism = normalizeParallelism(parallelism)
-	if parallelism > len(queries) {
-		parallelism = len(queries)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) {
-					return
-				}
-				hits[i], errs[i] = s.SearchByVectorContext(ctx, queries[i], k)
-			}
-		}()
-	}
-	wg.Wait()
-	return hits, errs
-}
-
 // TaskExample is one labeled example of the task function Q: X → Y from the
 // paper's extrinsic search formalization.
 type TaskExample struct {
@@ -278,14 +242,6 @@ type TaskSearcher struct {
 func (t *TaskSearcher) Add(h *model.Handle) {
 	t.mu.Lock()
 	t.models = append(t.models, h)
-	t.mu.Unlock()
-}
-
-// Reset atomically replaces the whole roster — the reindex path rebuilds
-// the task-search population alongside the content indexes.
-func (t *TaskSearcher) Reset(models []*model.Handle) {
-	t.mu.Lock()
-	t.models = append([]*model.Handle(nil), models...)
 	t.mu.Unlock()
 }
 

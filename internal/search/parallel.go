@@ -1,22 +1,6 @@
 package search
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-
-	"modellake/internal/index"
-	"modellake/internal/model"
-	"modellake/internal/tensor"
-)
-
-// This file is the parallel half of the §5 indexer: embedding is the
-// CPU-heavy ingest stage, so AddAll fans it out over a bounded worker pool
-// while committing vectors to the index strictly in input order. In-order
-// commit makes the batch path produce a byte-identical index to a serial
-// Add loop — for HNSW the graph depends on insertion order, so this is what
-// lets experiments swap serial for parallel ingest without changing any
-// search result.
+import "runtime"
 
 // normalizeParallelism clamps a worker count to [1, GOMAXPROCS] when it is
 // unset (<= 0); explicit positive values are honored as given so tests can
@@ -26,126 +10,4 @@ func normalizeParallelism(p int) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return p
-}
-
-// AddAll embeds hs concurrently with up to parallelism workers and indexes
-// the results in input order. The returned slice is aligned with hs: a nil
-// entry means that model was embedded and indexed, a non-nil entry carries
-// that model's failure (duplicate ID, unembeddable viewpoint, index
-// rejection). Failures do not abort the batch. parallelism <= 0 means
-// GOMAXPROCS.
-//
-// AddAll over any permutation of a model set leaves the searcher able to
-// answer exact-index queries identically to a serial Add loop; with the
-// same input order the resulting index is identical even for approximate
-// (insertion-order-sensitive) indexes.
-func (s *ContentSearcher) AddAll(hs []*model.Handle, parallelism int) []error {
-	errs := make([]error, len(hs))
-	if len(hs) == 0 {
-		return errs
-	}
-	parallelism = normalizeParallelism(parallelism)
-
-	// Reserve every ID up front, in input order, so duplicates (within the
-	// batch or against the live index) fail before any embedding work and
-	// concurrent callers cannot sneak the same ID in mid-batch.
-	embed := make([]bool, len(hs))
-	for i, h := range hs {
-		if err := s.reserve(h.ID()); err != nil {
-			errs[i] = err
-			continue
-		}
-		embed[i] = true
-	}
-
-	type slot struct {
-		vec  tensor.Vector
-		err  error
-		done bool
-	}
-	slots := make([]slot, len(hs))
-	var mu sync.Mutex
-	cond := sync.NewCond(&mu)
-	next := 0 // next index the workers will claim
-
-	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(hs) {
-					return
-				}
-				var sl slot
-				if embed[i] {
-					v, err := s.embedder.Embed(hs[i])
-					sl = slot{vec: v, err: err}
-				}
-				sl.done = true
-				mu.Lock()
-				slots[i] = sl
-				cond.Broadcast()
-				mu.Unlock()
-			}
-		}()
-	}
-
-	// Committer: insert into the index in input order as soon as each
-	// prefix of embeddings completes, overlapping indexing with the
-	// embedding still in flight behind it.
-	for i, h := range hs {
-		if !embed[i] {
-			continue
-		}
-		mu.Lock()
-		for !slots[i].done {
-			cond.Wait()
-		}
-		sl := slots[i]
-		slots[i] = slot{done: true} // release the vector
-		mu.Unlock()
-		if sl.err != nil {
-			s.unreserve(h.ID())
-			errs[i] = fmt.Errorf("search: embed %s: %w", h.ID(), sl.err)
-			continue
-		}
-		s.mu.Lock()
-		err := s.idx.Add(h.ID(), sl.vec)
-		if err != nil {
-			delete(s.added, h.ID())
-		}
-		s.mu.Unlock()
-		if err != nil {
-			errs[i] = fmt.Errorf("search: index %s: %w", h.ID(), err)
-		}
-	}
-	wg.Wait()
-	return errs
-}
-
-// Reindex rebuilds the searcher from scratch over fresh (an empty index that
-// the searcher owns afterwards), embedding hs with up to parallelism
-// workers. The old index keeps serving searches until the rebuild is
-// complete, then the new one is swapped in atomically. The returned slice is
-// aligned with hs like AddAll's.
-func (s *ContentSearcher) Reindex(hs []*model.Handle, fresh index.Index, parallelism int) []error {
-	if fresh.Len() != 0 {
-		errs := make([]error, len(hs))
-		for i := range errs {
-			errs[i] = fmt.Errorf("search: reindex target index is not empty")
-		}
-		return errs
-	}
-	staging := NewContentSearcher(s.embedder, fresh)
-	errs := staging.AddAll(hs, parallelism)
-	s.mu.Lock()
-	s.idx = staging.idx
-	s.added = staging.added
-	s.mu.Unlock()
-	return errs
 }

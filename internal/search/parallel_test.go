@@ -1,7 +1,6 @@
 package search
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -9,165 +8,11 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"modellake/internal/embedding"
 	"modellake/internal/index"
 	"modellake/internal/model"
 	"modellake/internal/tensor"
 	"modellake/internal/xrand"
 )
-
-// testEmbedders returns one embedder per embedding space, all deterministic,
-// so the parallel-vs-serial property can be checked for every space the
-// lake indexes.
-func testEmbedders(dim int) map[string]embedding.Embedder {
-	lookup := func(id string) (string, error) {
-		return "synthetic card text for " + id, nil
-	}
-	weight := embedding.NewWeightEmbedder(16, 4, 7)
-	behavior := embedding.NewBehaviorEmbedder(dim, 16, 8, 7)
-	return map[string]embedding.Embedder{
-		"weight":   weight,
-		"behavior": behavior,
-		"card":     &embedding.CardEmbedder{DimBuckets: 32, Lookup: lookup},
-		"hybrid":   &embedding.HybridEmbedder{Parts: []embedding.Embedder{weight, behavior}},
-	}
-}
-
-func shuffledHandles(pop []*model.Handle, rng *xrand.RNG) []*model.Handle {
-	out := append([]*model.Handle(nil), pop...)
-	for i := len(out) - 1; i > 0; i-- {
-		j := rng.Intn(i + 1)
-		out[i], out[j] = out[j], out[i]
-	}
-	return out
-}
-
-// TestAddAllMatchesSerialTopK is the pipeline's core property: for every
-// embedder, parallel AddAll over a *shuffled* copy of the model set yields
-// exactly the same top-k hits — IDs and bitwise scores — as a serial Add
-// loop over the original order. Run under -race this also exercises the
-// worker pool for data races.
-func TestAddAllMatchesSerialTopK(t *testing.T) {
-	pop := buildPopulation(t, 31)
-	handles := make([]*model.Handle, len(pop.Members))
-	for i, m := range pop.Members {
-		handles[i] = model.NewHandle(m.Model)
-	}
-	rng := xrand.New(99)
-	const k = 5
-	for name, emb := range testEmbedders(pop.Spec.Dim) {
-		t.Run(name, func(t *testing.T) {
-			serial := NewContentSearcher(emb, index.NewFlat(index.Cosine))
-			for _, h := range handles {
-				if err := serial.Add(h); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for trial := 0; trial < 3; trial++ {
-				parallel := NewContentSearcher(emb, index.NewFlat(index.Cosine))
-				shuffled := shuffledHandles(handles, rng)
-				for i, err := range parallel.AddAll(shuffled, 8) {
-					if err != nil {
-						t.Fatalf("AddAll[%d] (%s): %v", i, shuffled[i].ID(), err)
-					}
-				}
-				if parallel.Len() != serial.Len() {
-					t.Fatalf("parallel indexed %d, serial %d", parallel.Len(), serial.Len())
-				}
-				for _, q := range handles {
-					want, err := serial.SearchByModel(q, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := parallel.SearchByModel(q, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(got) != len(want) {
-						t.Fatalf("query %s: got %d hits, want %d", q.ID(), len(got), len(want))
-					}
-					for i := range want {
-						if got[i].ID != want[i].ID || got[i].Score != want[i].Score {
-							t.Fatalf("query %s hit %d: parallel %+v != serial %+v",
-								q.ID(), i, got[i], want[i])
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestAddAllIdenticalHNSWOrder pins the in-order-commit guarantee: with the
-// same input order, parallel AddAll builds the identical HNSW graph a
-// serial Add loop builds — approximate search results and all.
-func TestAddAllIdenticalHNSWOrder(t *testing.T) {
-	pop := buildPopulation(t, 32)
-	emb := embedding.NewBehaviorEmbedder(pop.Spec.Dim, 16, 8, 7)
-	handles := make([]*model.Handle, len(pop.Members))
-	for i, m := range pop.Members {
-		handles[i] = model.NewHandle(m.Model)
-	}
-	cfg := index.HNSWConfig{M: 8, EfConstruction: 40, EfSearch: 16, Seed: 3}
-	serial := NewContentSearcher(emb, index.NewHNSW(index.Cosine, cfg))
-	for _, h := range handles {
-		if err := serial.Add(h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	parallel := NewContentSearcher(emb, index.NewHNSW(index.Cosine, cfg))
-	for i, err := range parallel.AddAll(handles, 6) {
-		if err != nil {
-			t.Fatalf("AddAll[%d]: %v", i, err)
-		}
-	}
-	for _, q := range handles {
-		want, err := serial.SearchByModel(q, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := parallel.SearchByModel(q, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("query %s: %d hits vs %d", q.ID(), len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("query %s hit %d: %+v != %+v (HNSW graphs diverged)", q.ID(), i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestAddAllReportsPerModelErrors: duplicates inside the batch and against
-// the live index fail in their slot without sinking the rest.
-func TestAddAllReportsPerModelErrors(t *testing.T) {
-	pop := buildPopulation(t, 33)
-	emb := embedding.NewBehaviorEmbedder(pop.Spec.Dim, 8, 8, 7)
-	cs := NewContentSearcher(emb, index.NewFlat(index.Cosine))
-	h0 := model.NewHandle(pop.Members[0].Model)
-	if err := cs.Add(h0); err != nil {
-		t.Fatal(err)
-	}
-	batch := []*model.Handle{
-		model.NewHandle(pop.Members[1].Model),
-		h0, // duplicate vs index
-		model.NewHandle(pop.Members[2].Model),
-		model.NewHandle(pop.Members[1].Model), // duplicate within batch
-	}
-	errs := cs.AddAll(batch, 4)
-	if errs[0] != nil || errs[2] != nil {
-		t.Fatalf("clean models failed: %v", errs)
-	}
-	if errs[1] == nil || errs[3] == nil {
-		t.Fatalf("duplicates not reported: %v", errs)
-	}
-	if cs.Len() != 3 {
-		t.Fatalf("index has %d entries, want 3", cs.Len())
-	}
-}
 
 // gateEmbedder blocks inside Embed until released and counts invocations —
 // the instrument for proving the duplicate-add race fix embeds only once.
@@ -255,49 +100,6 @@ func TestAddReleasesReservationOnEmbedFailure(t *testing.T) {
 	}
 }
 
-// TestReindexMatchesOriginal rebuilds over a fresh index and checks searches
-// are unchanged, while old searches keep working mid-rebuild.
-func TestReindexMatchesOriginal(t *testing.T) {
-	pop := buildPopulation(t, 36)
-	emb := embedding.NewBehaviorEmbedder(pop.Spec.Dim, 16, 8, 7)
-	handles := make([]*model.Handle, len(pop.Members))
-	for i, m := range pop.Members {
-		handles[i] = model.NewHandle(m.Model)
-	}
-	cs := NewContentSearcher(emb, index.NewFlat(index.Cosine))
-	for _, h := range handles {
-		if err := cs.Add(h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before, err := cs.SearchByModel(handles[0], 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, err := range cs.Reindex(handles, index.NewFlat(index.Cosine), 4) {
-		if err != nil {
-			t.Fatalf("reindex[%d]: %v", i, err)
-		}
-	}
-	after, err := cs.SearchByModel(handles[0], 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(after) != fmt.Sprint(before) {
-		t.Fatalf("reindex changed results:\n before %v\n after  %v", before, after)
-	}
-	// A non-empty target index must be refused.
-	dirty := index.NewFlat(index.Cosine)
-	if err := dirty.Add("x", tensor.Vector{1}); err != nil {
-		t.Fatal(err)
-	}
-	for _, err := range cs.Reindex(handles, dirty, 2) {
-		if err == nil {
-			t.Fatal("reindex into a non-empty index accepted")
-		}
-	}
-}
-
 // TestShardedKeywordIndexMatchesSingleLock: sharding changes the locking,
 // never the ranking — hits and scores must be bitwise identical to the
 // single-mutex KeywordIndex on the same corpus.
@@ -375,61 +177,5 @@ func TestShardedKeywordIndexConcurrent(t *testing.T) {
 	wg.Wait()
 	if ki.Len() == 0 {
 		t.Fatal("concurrent adds lost everything")
-	}
-}
-
-// TestSearchManyMatchesSerial pins the batched read path: SearchMany over a
-// worker pool must answer every query bitwise-identically to serial
-// SearchByVectorContext calls, at any parallelism.
-func TestSearchManyMatchesSerial(t *testing.T) {
-	pop := buildPopulation(t, 53)
-	cs := NewContentSearcher(testEmbedders(pop.Spec.Dim)["behavior"], index.NewFlat(index.Cosine))
-	for _, m := range pop.Members {
-		if err := cs.Add(model.NewHandle(m.Model)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var queries []tensor.Vector
-	for _, m := range pop.Members[:8] {
-		v, err := cs.EmbedQuery(model.NewHandle(m.Model))
-		if err != nil {
-			t.Fatal(err)
-		}
-		queries = append(queries, v)
-	}
-	ctx := context.Background()
-	const k = 5
-	want := make([][]Hit, len(queries))
-	for i, q := range queries {
-		hits, err := cs.SearchByVectorContext(ctx, q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = hits
-	}
-	for _, par := range []int{1, 2, 4, 16} {
-		got, errs := cs.SearchMany(ctx, queries, k, par)
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("par=%d query %d: %v", par, i, err)
-			}
-			if len(got[i]) != len(want[i]) {
-				t.Fatalf("par=%d query %d: len %d != %d", par, i, len(got[i]), len(want[i]))
-			}
-			for j := range got[i] {
-				if got[i][j].ID != want[i][j].ID || got[i][j].Score != want[i][j].Score {
-					t.Fatalf("par=%d query %d hit %d: got %+v want %+v", par, i, j, got[i][j], want[i][j])
-				}
-			}
-		}
-	}
-	// A canceled context fails every query with a context error.
-	canceled, cancel := context.WithCancel(ctx)
-	cancel()
-	_, errs := cs.SearchMany(canceled, queries, k, 4)
-	for i, err := range errs {
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("canceled query %d: err = %v", i, err)
-		}
 	}
 }

@@ -54,8 +54,8 @@ type rankTier interface {
 // scratch is the pooled per-search state: the tier's query-side state, the
 // shortlist selector (tie-break by row index — any deterministic order works,
 // the rescore re-ranks), the final exact selector (tie-break by ID), the
-// parallel-rescore distance buffer, and the pread window a segment row is
-// decoded into.
+// distance buffer of a block scan or a parallel rescore, and the pread window
+// a segment row is decoded into.
 type scratch struct {
 	qq    quantQuery
 	lut   []float64
@@ -351,10 +351,11 @@ var (
 )
 
 // rescore exact-scores the candidates — every row when cands is nil — into
-// sc.sel in candidate order. A large shortlist over in-RAM rows has its
-// distances computed by parallelDists first; the offers still happen here,
-// serially and in the same order, so results are bitwise identical at any
-// worker count.
+// sc.sel in candidate order. Distances are computed ahead of the offers where
+// the rows allow it: a block of the full scan that lies in the contiguous
+// in-RAM rows by one one-vs-many kernel call (blockDists), a large shortlist
+// over in-RAM rows by parallelDists. The offers still happen here, serially
+// and in the same order, so results are bitwise identical on every path.
 func (c *core) rescore(ctx context.Context, sc *scratch, q tensor.Vector, qNorm float64, cands []candidate) error {
 	n := len(cands)
 	if cands == nil {
@@ -370,7 +371,14 @@ func (c *core) rescore(ctx context.Context, sc *scratch, q tensor.Vector, qNorm 
 				return err
 			}
 		}
-		for j, hi := lo, min(lo+ctxCheckInterval, n); j < hi; j++ {
+		hi := min(lo+ctxCheckInterval, n)
+		if cands == nil && lo >= c.segN {
+			for j, dist := range c.blockDists(sc, q, qNorm, lo, hi) {
+				sc.sel.offer(candidate{idx: lo + j, dist: dist})
+			}
+			continue
+		}
+		for j := lo; j < hi; j++ {
 			i := j
 			if cands != nil {
 				i = cands[j].idx
@@ -389,6 +397,26 @@ func (c *core) rescore(ctx context.Context, sc *scratch, q tensor.Vector, qNorm 
 		}
 	}
 	return nil
+}
+
+// blockDists computes the exact distance of rows [lo, hi) — all past the
+// segment, so contiguous in c.rows — into sc.dists: one kernel call for the
+// block, then distFlat's own finish per row.
+func (c *core) blockDists(sc *scratch, q tensor.Vector, qNorm float64, lo, hi int) []float64 {
+	if cap(sc.dists) < hi-lo {
+		sc.dists = make([]float64, ctxCheckInterval)
+	}
+	dists := sc.dists[:hi-lo]
+	rows := c.rows[(lo-c.segN)*c.dim : (hi-c.segN)*c.dim]
+	if c.metric == Cosine {
+		tensor.DotRows(q, rows, dists)
+	} else {
+		tensor.SquaredL2Rows(q, rows, dists)
+	}
+	for j, kv := range dists {
+		dists[j] = c.metric.fromKernel(kv, qNorm, c.norms[lo+j])
+	}
+	return dists
 }
 
 // parallelDists computes the exact distance of every candidate into

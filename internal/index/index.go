@@ -95,12 +95,23 @@ func (m Metric) queryNorm(q tensor.Vector) float64 {
 // clone-per-node layout this replaced.
 func (m Metric) distFlat(q tensor.Vector, qNorm float64, row []float64, rowNorm float64) float64 {
 	if m == Cosine {
+		return m.fromKernel(tensor.DotKernel(q, row), qNorm, rowNorm)
+	}
+	return m.fromKernel(tensor.SquaredL2Kernel(q, row), qNorm, rowNorm)
+}
+
+// fromKernel finishes a distance from its kernel value — q·row under Cosine,
+// ‖q−row‖² under L2. It is the one copy of that arithmetic: the per-row path
+// (distFlat) and the block scan (blockDists, whose kernel values come from
+// tensor.DotRows / SquaredL2Rows) both end here, so they cannot drift apart.
+func (m Metric) fromKernel(kv, qNorm, rowNorm float64) float64 {
+	if m == Cosine {
 		if qNorm == 0 || rowNorm == 0 {
 			return 1
 		}
-		return 1 - tensor.DotKernel(q, row)/(qNorm*rowNorm)
+		return 1 - kv/(qNorm*rowNorm)
 	}
-	return math.Sqrt(tensor.SquaredL2Kernel(q, row))
+	return math.Sqrt(kv)
 }
 
 // Result is one search hit.

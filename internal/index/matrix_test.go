@@ -4,9 +4,11 @@ package index
 // ranking tier {none, int8, PQ} × row source {RAM, segment, segment + tail} —
 // and both metrics. Every cell runs the same checks against the full-sort
 // reference: bitwise equality (IDs, order, distance bits, exact ties), k
-// clamping, the whole-index-shortlist degenerate case, cancellation, recall
-// (factor 1 provably misses on adversarial rows, the default factor
-// recovers), parallel rescore = serial, and the allocation bound.
+// clamping, the exact scan's block edges (the one-vs-many kernel takes whole
+// blocks of RAM rows, the per-row path the rest), the whole-index-shortlist
+// degenerate case, cancellation, recall (factor 1 provably misses on
+// adversarial rows, the default factor recovers), parallel rescore = serial,
+// and the allocation bound.
 
 import (
 	"context"
@@ -183,6 +185,7 @@ func TestReadPathMatrix(t *testing.T) {
 				c := matrixCell{tier, rows, metric}
 				t.Run(c.String(), func(t *testing.T) {
 					t.Run("reference", c.testReference)
+					t.Run("blocks", c.testBlockEdges)
 					t.Run("ties", c.testTies)
 					t.Run("degenerate", c.testDegenerateShortlist)
 					t.Run("cancel", c.testCancelled)
@@ -231,6 +234,37 @@ func (c matrixCell) testReference(t *testing.T) {
 							t.Fatalf("%s: nil result from a populated index", label)
 						}
 						assertBitwiseEqual(t, label, got, referenceSearch(c.metric, ids, vecs, q, max(k, 0)))
+					}
+				}
+			})
+		}
+	}
+}
+
+// testBlockEdges pins the exact scan where its ctxCheckInterval blocks begin
+// and end. In RAM every block goes through one tensor.DotRows/SquaredL2Rows
+// call, the last one short; over a segment + tail the segment ends inside a
+// block (three quarters of n is never a multiple of 1024 here), so that block
+// and every one before it score row by row and only the blocks past it take
+// the kernel. dim 16 reaches the assembly, dim 10 its Go fallback.
+func (c matrixCell) testBlockEdges(t *testing.T) {
+	if c.tier != tierNone {
+		t.Skip("a ranked search at k = n is this same exact scan")
+	}
+	for _, dim := range []int{16, 10} {
+		for _, n := range []int{ctxCheckInterval - 1, ctxCheckInterval, ctxCheckInterval + 1, 2500} {
+			vecs := randomVecs(t, n, dim, uint64(n+dim))
+			ids := seqIDs(n)
+			queries := randomVecs(t, 3, dim, uint64(n)+31)
+			c.stages(t, QuantConfig{}, ids, vecs, func(stage string, idx Index) {
+				for _, k := range []int{1, 10, n} {
+					for qi, q := range queries {
+						got, err := idx.Search(context.Background(), q, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						assertBitwiseEqual(t, fmt.Sprintf("%s dim=%d n=%d k=%d q=%d", stage, dim, n, k, qi),
+							got, referenceSearch(c.metric, ids, vecs, q, k))
 					}
 				}
 			})

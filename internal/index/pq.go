@@ -81,25 +81,36 @@ type pqCodebook struct {
 	cents  []float64
 }
 
-func (cb *pqCodebook) subdim(s int) int { return cb.bounds[s+1] - cb.bounds[s] }
+// sub returns subspace s of a full-width vector.
+func (cb *pqCodebook) sub(v []float64, s int) []float64 { return v[cb.bounds[s]:cb.bounds[s+1]] }
+
+// subCents returns subspace s's PQCentroids centroids, contiguous and
+// row-major — the rows of one one-vs-many kernel call.
+func (cb *pqCodebook) subCents(s int) []float64 {
+	return cb.cents[PQCentroids*cb.bounds[s] : PQCentroids*cb.bounds[s+1]]
+}
+
+// nearestCentroid returns the index of the centroid in cents (PQCentroids of
+// them, each len(sub) wide) nearest sub under squared L2, ties to the lowest
+// index (strict improvement only). Encoding and training both assign through
+// it, so a row is coded exactly as k-means would have assigned it.
+func nearestCentroid(sub, cents []float64) int {
+	var dists [PQCentroids]float64
+	tensor.SquaredL2Rows(sub, cents, dists[:])
+	best := 0
+	for c := 1; c < PQCentroids; c++ {
+		if dists[c] < dists[best] {
+			best = c
+		}
+	}
+	return best
+}
 
 // encodeInto writes row's m codes: per subspace, the index of the nearest
-// centroid under squared L2, ties to the lowest index (strict improvement
-// only), so encoding is deterministic.
+// centroid.
 func (cb *pqCodebook) encodeInto(row []float64, codes []uint8) {
 	for s := 0; s < cb.m; s++ {
-		sub := row[cb.bounds[s]:cb.bounds[s+1]]
-		sd := cb.subdim(s)
-		base := PQCentroids * cb.bounds[s]
-		best := 0
-		bestD := tensor.SquaredL2Kernel(sub, cb.cents[base:base+sd])
-		for c := 1; c < PQCentroids; c++ {
-			d := tensor.SquaredL2Kernel(sub, cb.cents[base+c*sd:base+(c+1)*sd])
-			if d < bestD {
-				best, bestD = c, d
-			}
-		}
-		codes[s] = uint8(best)
+		codes[s] = uint8(nearestCentroid(cb.sub(row, s), cb.subCents(s)))
 	}
 }
 
@@ -107,21 +118,14 @@ func (cb *pqCodebook) encodeInto(row []float64, codes []uint8) {
 // sub-distances: squared L2 sub-distances for L2 (their sum is monotonic in
 // the true squared distance to the reconstruction, no sqrt needed for
 // ranking), raw sub-dot products for Cosine (the scan divides by the norms
-// per row, mirroring the int8 tier).
+// per row, mirroring the int8 tier). One kernel call per subspace.
 func (cb *pqCodebook) buildLUT(m Metric, q tensor.Vector, lut []float64) {
 	for s := 0; s < cb.m; s++ {
-		qs := q[cb.bounds[s]:cb.bounds[s+1]]
-		sd := cb.subdim(s)
-		base := PQCentroids * cb.bounds[s]
 		out := lut[s*PQCentroids : (s+1)*PQCentroids]
 		if m == Cosine {
-			for c := 0; c < PQCentroids; c++ {
-				out[c] = tensor.DotKernel(qs, cb.cents[base+c*sd:base+(c+1)*sd])
-			}
+			tensor.DotRows(cb.sub(q, s), cb.subCents(s), out)
 		} else {
-			for c := 0; c < PQCentroids; c++ {
-				out[c] = tensor.SquaredL2Kernel(qs, cb.cents[base+c*sd:base+(c+1)*sd])
-			}
+			tensor.SquaredL2Rows(cb.sub(q, s), cb.subCents(s), out)
 		}
 	}
 	pqLUTBuilds.Inc()
@@ -174,12 +178,10 @@ func trainPQCodebook(sample []float64, nSample, dim, m int, seed uint64, workers
 // row order, and empty clusters keep their previous centroid, so every step
 // is deterministic.
 func (cb *pqCodebook) trainSubspace(s int, sample []float64, nSample int, rng *xrand.RNG) {
-	sd := cb.subdim(s)
-	lo := cb.bounds[s]
-	cents := cb.cents[PQCentroids*lo : PQCentroids*lo+PQCentroids*sd]
+	sd := cb.bounds[s+1] - cb.bounds[s]
+	cents := cb.subCents(s)
 	sub := func(i int) []float64 {
-		off := i*cb.dim + lo
-		return sample[off : off+sd]
+		return cb.sub(sample[i*cb.dim:(i+1)*cb.dim], s)
 	}
 	perm := rng.Perm(nSample)
 	for c := 0; c < PQCentroids; c++ {
@@ -191,17 +193,8 @@ func (cb *pqCodebook) trainSubspace(s int, sample []float64, nSample int, rng *x
 	for iter := 0; iter < pqKMeansIters; iter++ {
 		changed := false
 		for i := 0; i < nSample; i++ {
-			r := sub(i)
-			best := 0
-			bestD := tensor.SquaredL2Kernel(r, cents[:sd])
-			for c := 1; c < PQCentroids; c++ {
-				d := tensor.SquaredL2Kernel(r, cents[c*sd:(c+1)*sd])
-				if d < bestD {
-					best, bestD = c, d
-				}
-			}
-			if int32(best) != assign[i] {
-				assign[i] = int32(best)
+			if best := int32(nearestCentroid(sub(i), cents)); best != assign[i] {
+				assign[i] = best
 				changed = true
 			}
 		}

@@ -212,9 +212,13 @@ func renderLabels(labels []Label) string {
 	return b.String()
 }
 
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 func escapeLabelValue(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
+	if !strings.ContainsAny(v, "\\\"\n") {
+		return v // nearly every value: route patterns, methods, kinds
+	}
+	return labelEscaper.Replace(v)
 }
 
 // lookup returns the series for (name, labels), creating family and series

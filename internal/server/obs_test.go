@@ -339,3 +339,38 @@ func TestRouteLabelBoundsCardinality(t *testing.T) {
 		}
 	}
 }
+
+// TestSeriesForMemoised pins the per-request metric lookup: the memoised
+// handles are the registry's own series (same names, same label sets), a
+// steady-state lookup allocates nothing, and a client-chosen method token is
+// served but never grows the memo.
+func TestSeriesForMemoised(t *testing.T) {
+	rs := seriesFor("/healthz", "GET", "2xx")
+	if want := obs.Default().Counter("http_requests_total",
+		obs.L("class", "2xx"), obs.L("method", "GET"), obs.L("route", "/healthz")); rs.requests != want {
+		t.Fatal("memoised counter is not the registry's series")
+	}
+	if want := obs.Default().Histogram("http_request_duration_seconds", nil, obs.L("route", "/healthz")); rs.duration != want {
+		t.Fatal("memoised histogram is not the registry's series")
+	}
+	if a := testing.AllocsPerRun(100, func() { seriesFor("/healthz", "GET", statusClass(200)) }); a != 0 {
+		t.Fatalf("memoised lookup allocates %v per run", a)
+	}
+	size := func() int {
+		seriesMemo.RLock()
+		defer seriesMemo.RUnlock()
+		return len(seriesMemo.m)
+	}
+	before := size()
+	if seriesFor("other", "BREW", "4xx").requests == nil {
+		t.Fatal("unknown method got no series")
+	}
+	if after := size(); after != before {
+		t.Fatalf("memo grew %d -> %d on a non-standard method", before, after)
+	}
+	for status, want := range map[int]string{99: "other", 100: "1xx", 204: "2xx", 302: "3xx", 404: "4xx", 599: "5xx", 600: "other", -1: "other"} {
+		if got := statusClass(status); got != want {
+			t.Fatalf("statusClass(%d) = %q, want %q", status, got, want)
+		}
+	}
+}

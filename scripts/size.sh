@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # size.sh prints the numbers a simplification is judged by, so "the line
 # count goes down" is read off CI instead of hand-counted: non-test Go lines
-# per internal/* package, lake.Config's field count, and the magic of every
-# on-disk format. Run from anywhere; compare two checkouts with diff.
+# per internal/* package (assembly lines beside them where a package has
+# any), lake.Config's field count, and the magic of every on-disk format. Run
+# from anywhere; compare two checkouts with diff.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -12,13 +13,17 @@ lines() { # total lines of the files named on stdin (NUL-separated)
 
 echo "non-test Go lines per package"
 for d in internal/*/; do
-	printf '  %-24s %6d\n' "${d%/}" \
-		"$(find "$d" -name '*.go' ! -name '*_test.go' -print0 | lines)"
+	asm="$(find "$d" -name '*.s' -print0 | lines)"
+	printf '  %-24s %6d%s\n' "${d%/}" \
+		"$(find "$d" -name '*.go' ! -name '*_test.go' -print0 | lines)" \
+		"$([ "$asm" -gt 0 ] && echo "  + $asm asm")"
 done
 printf '  %-24s %6d\n' "internal (total)" \
 	"$(find internal -name '*.go' ! -name '*_test.go' -print0 | lines)"
 printf '  %-24s %6d\n' "all non-test Go" \
 	"$(find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print0 | lines)"
+printf '  %-24s %6d\n' "all assembly" \
+	"$(find . -path ./bench -prune -o -name '*.s' -print0 | lines)"
 printf '  %-24s %6d\n' "all test Go" \
 	"$(find . -path ./bench -prune -o -name '*_test.go' -print0 | lines)"
 

@@ -47,7 +47,7 @@ func TestE16Shape(t *testing.T) {
 	if st.PeakHeapBytes == 0 || !st.Under2GB {
 		t.Fatalf("toy stream should trivially sit under 2GB: %+v", st)
 	}
-	if st.ReopenNs <= 0 || st.SearchQPS <= 0 {
+	if st.ReopenNs <= 0 || st.SearchQPS <= 0 || st.ReopenPeakHeapBytes == 0 {
 		t.Fatalf("stream reopen/search did not run: %+v", st)
 	}
 	if st.KeywordQPS <= 0 {
@@ -101,6 +101,14 @@ func TestScaleSmoke100k(t *testing.T) {
 	if !res.Stream.Under2GB {
 		t.Fatalf("100k streamed lake peaked at %d bytes, over the 2 GiB bar", res.Stream.PeakHeapBytes)
 	}
+	// A restart may hold less than the load did, never a second copy of the
+	// lake's vectors: they are read by reference, a window at a time.
+	if p := res.Stream.ReopenPeakHeapBytes; p == 0 || p >= 2<<30 {
+		t.Fatalf("reopening the 100k lake peaked at %d bytes", p)
+	}
+	t.Logf("stream arm: peak_heap_bytes=%d reopen_peak_heap_bytes=%d kv_heap_bytes=%d kv_referenced_bytes=%d reopen=%s",
+		res.Stream.PeakHeapBytes, res.Stream.ReopenPeakHeapBytes, res.Stream.KVHeapBytes,
+		res.Stream.KVReferencedBytes, time.Duration(res.Stream.ReopenNs))
 }
 
 // TestScaleSmoke1M is the headline gate behind the "1M models in one box"

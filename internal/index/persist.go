@@ -68,25 +68,39 @@ func encodeIDSection(ids []string) []byte {
 	return buf
 }
 
-// SegmentChecksums computes the (idsCRC, dataCRC) pair a segment holding
-// exactly these ids and rows would carry in its header. The lake uses it to
-// decide whether an existing on-disk segment still matches the durable
-// vector records it was derived from, without re-reading the segment rows.
-func SegmentChecksums(ids []string, row func(i int) []float64) (idsCRC, dataCRC uint64) {
-	idsCRC = crc64.Checksum(encodeIDSection(ids), crcTable)
-	var buf []byte
-	for i := range ids {
-		r := row(i)
-		if cap(buf) < len(r)*8 {
-			buf = make([]byte, len(r)*8)
-		}
-		buf = buf[:len(r)*8]
-		for j, x := range r {
-			binary.LittleEndian.PutUint64(buf[j*8:], math.Float64bits(x))
-		}
-		dataCRC = crc64.Update(dataCRC, crcTable, buf)
+// SegmentChecksum accumulates, one row at a time, the (idsCRC, dataCRC) pair
+// a segment holding exactly the rows added so far would carry in its header.
+// The lake uses it to decide whether an existing on-disk segment still
+// matches the durable vector records it was derived from, without holding
+// the rows or re-reading the segment. The zero value is an empty segment.
+type SegmentChecksum struct {
+	ids, data uint64
+	buf       []byte
+}
+
+// Add folds the next row and its id into the checksums.
+func (c *SegmentChecksum) Add(id string, row []float64) {
+	c.buf = binary.LittleEndian.AppendUint32(c.buf[:0], uint32(len(id)))
+	c.buf = append(c.buf, id...)
+	c.ids = crc64.Update(c.ids, crcTable, c.buf)
+	c.buf = c.buf[:0]
+	for _, x := range row {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, math.Float64bits(x))
 	}
-	return idsCRC, dataCRC
+	c.data = crc64.Update(c.data, crcTable, c.buf)
+}
+
+// Sums returns the checksums of the rows added so far.
+func (c *SegmentChecksum) Sums() (idsCRC, dataCRC uint64) { return c.ids, c.data }
+
+// SegmentChecksums computes the checksum pair of a segment holding exactly
+// these ids and rows.
+func SegmentChecksums(ids []string, row func(i int) []float64) (idsCRC, dataCRC uint64) {
+	var c SegmentChecksum
+	for i, id := range ids {
+		c.Add(id, row(i))
+	}
+	return c.Sums()
 }
 
 // diskHeader is the fixed-size segment header.

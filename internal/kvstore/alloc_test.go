@@ -86,3 +86,50 @@ func TestGetAllocs(t *testing.T) {
 		t.Fatalf("Get allocates %.1f times per call", avg)
 	}
 }
+
+// TestGetReferencedAllocs is TestGetAllocs for a value the store keeps by
+// reference: the pread buffer is the caller's copy, so reading from the log
+// costs the same one allocation as copying out of the map.
+func TestGetReferencedAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are unstable under the race detector")
+	}
+	s, err := Open(filepath.Join(t.TempDir(), "kv.log"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Put("k", bytes.Repeat([]byte("v"), 2*refThreshold))
+	if _, referenced := s.ApproxMemBytes(); referenced == 0 {
+		t.Fatal("value was not stored by reference")
+	}
+	avg := testing.AllocsPerRun(200, func() {
+		if _, err := s.Get("k"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 2 {
+		t.Fatalf("Get of a referenced value allocates %.1f times per call", avg)
+	}
+}
+
+// TestCountAllocs: Count walks the key set in place — it backs Registry.Count
+// and so every /readyz probe.
+func TestCountAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are unstable under the race detector")
+	}
+	s := OpenMemory()
+	defer s.Close()
+	for i := 0; i < 100; i++ {
+		s.Put(fmt.Sprintf("model/%03d", i), []byte("r"))
+		s.Put(fmt.Sprintf("card/%03d", i), []byte("c"))
+	}
+	var n int
+	if avg := testing.AllocsPerRun(100, func() { n = s.Count("model/") }); avg != 0 {
+		t.Fatalf("Count allocates %.1f times per call", avg)
+	}
+	if n != 100 {
+		t.Fatalf("Count = %d, want 100", n)
+	}
+}

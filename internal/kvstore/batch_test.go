@@ -343,7 +343,7 @@ func TestLeftoverCompactFileRemovedOnOpen(t *testing.T) {
 func TestConcurrentGroupCommitCrashSweep(t *testing.T) {
 	const writers = 4
 	const perWriter = 8
-	workload := func(s *Store) (acked, attempted *sync.Map) {
+	workload := func(s *Store, pad int) (acked, attempted *sync.Map) {
 		acked, attempted = &sync.Map{}, &sync.Map{}
 		var wg sync.WaitGroup
 		for w := 0; w < writers; w++ {
@@ -352,7 +352,7 @@ func TestConcurrentGroupCommitCrashSweep(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < perWriter; i++ {
 					k := fmt.Sprintf("w%d/k%d", w, i)
-					v := []byte(fmt.Sprintf("val-%d-%d", w, i))
+					v := padded([]byte(fmt.Sprintf("val-%d-%d", w, i)), pad)
 					attempted.Store(k, v)
 					if i%4 == 3 {
 						ops := []Op{
@@ -374,58 +374,59 @@ func TestConcurrentGroupCommitCrashSweep(t *testing.T) {
 		return acked, attempted
 	}
 
-	// Enumerate the fault points once, fault-free.
-	rec := &fault.Recorder{}
-	probe := filepath.Join(t.TempDir(), "probe.log")
-	s, err := Open(probe, Options{Sync: true, FS: fault.New(rec)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	workload(s)
-	s.Close()
-	n := len(rec.Ops())
-	if n < 5 {
-		t.Fatalf("workload exercised only %d IO ops", n)
-	}
-	// Sweep a spread of indices rather than all of them: concurrent runs do
-	// not hit identical op counts, so exact enumeration buys nothing.
-	for i := 1; i <= n; i += 3 {
-		t.Run(fmt.Sprintf("op-%02d", i), func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "kv.log")
-			inj := &fault.Script{FailAt: i, Sticky: true, Torn: 4}
-			s, err := Open(path, Options{Sync: true, FS: fault.New(inj)})
-			if err != nil {
-				return // fault hit Open; nothing acked
-			}
-			acked, attempted := workload(s)
-			s.Close()
-
-			s2, err := Open(path, Options{})
-			if err != nil {
-				t.Fatalf("reopen after faulted run failed: %v", err)
-			}
-			defer s2.Close()
-			acked.Range(func(k, v any) bool {
-				got, err := s2.Get(k.(string))
+	// How many IO ops a run performs depends on how the commits coalesce, so
+	// sweep up to the most it can be — no coalescing: a write and an fsync per
+	// commit, plus Open's remove + open and Close's fsync + close — and let an
+	// index past the end of a luckier run inject nothing. A spread of indices
+	// rather than all of them: exact enumeration buys nothing here.
+	const n = 2 + writers*perWriter*2 + 2
+	for _, ax := range sizeAxes {
+		for i := 1; i <= n; i += 3 {
+			t.Run(fmt.Sprintf("%sop-%02d", ax.prefix, i), func(t *testing.T) {
+				path := filepath.Join(t.TempDir(), "kv.log")
+				inj := &fault.Script{FailAt: i, Sticky: true, Torn: 4}
+				s, err := Open(path, Options{Sync: true, FS: fault.New(inj)})
 				if err != nil {
-					t.Fatalf("acknowledged key %q lost: %v", k, err)
+					return // fault hit Open; nothing acked
 				}
-				if !bytes.Equal(got, v.([]byte)) {
-					t.Fatalf("acknowledged key %q corrupted", k)
+				acked, attempted := workload(s, ax.pad)
+				// The disk stays broken, so nothing more commits: the live
+				// store must still serve everything it acknowledged.
+				acked.Range(func(k, v any) bool {
+					if got, err := s.Get(k.(string)); err != nil || !bytes.Equal(got, v.([]byte)) {
+						t.Fatalf("live store lost acknowledged key %q: %v", k, err)
+					}
+					return true
+				})
+				s.Close()
+
+				s2, err := Open(path, Options{})
+				if err != nil {
+					t.Fatalf("reopen after faulted run failed: %v", err)
 				}
-				return true
+				defer s2.Close()
+				acked.Range(func(k, v any) bool {
+					got, err := s2.Get(k.(string))
+					if err != nil {
+						t.Fatalf("acknowledged key %q lost: %v", k, err)
+					}
+					if !bytes.Equal(got, v.([]byte)) {
+						t.Fatalf("acknowledged key %q corrupted", k)
+					}
+					return true
+				})
+				s2.Scan("", func(k string, got []byte) bool {
+					want, ok := attempted.Load(k)
+					if !ok {
+						t.Fatalf("recovered key %q was never written", k)
+					}
+					if !bytes.Equal(got, want.([]byte)) {
+						t.Fatalf("key %q surfaced with corrupt value", k)
+					}
+					return true
+				})
 			})
-			s2.Scan("", func(k string, got []byte) bool {
-				want, ok := attempted.Load(k)
-				if !ok {
-					t.Fatalf("recovered key %q was never written", k)
-				}
-				if !bytes.Equal(got, want.([]byte)) {
-					t.Fatalf("key %q surfaced with corrupt value", k)
-				}
-				return true
-			})
-		})
+		}
 	}
 }
 

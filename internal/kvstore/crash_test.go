@@ -17,6 +17,25 @@ import (
 // is reopened fault-free and must contain exactly the acknowledged
 // mutations — a failed append may lose the unacknowledged record, but never
 // an acknowledged one, and never the log.
+//
+// Every sweep runs on two value sizes (sizeAxes): the original few-byte
+// values, which the store holds inline, and the same values padded past
+// refThreshold, which it holds as references into the log — so each injected
+// fault is also taken with references in flight: none may point into a
+// rolled-back page, and a Compact that fails at any IO op, before or after
+// the rename, must leave every acknowledged value readable in the live store.
+
+// sizeAxes names the two value-size runs of every sweep. The inline run
+// keeps the bare "op-NN" subtest names the sweeps have always had.
+var sizeAxes = []struct {
+	prefix string
+	pad    int // bytes appended to every workload value
+}{{"", 0}, {"ref-", refThreshold}}
+
+// padded returns v grown by pad bytes.
+func padded(v []byte, pad int) []byte {
+	return append(append([]byte(nil), v...), bytes.Repeat([]byte{'.'}, pad)...)
+}
 
 // outcome tracks what the workload observed: acked mutations (the store
 // said yes) and unacked attempts (the store said no — which, like any
@@ -38,12 +57,23 @@ func newOutcome() *outcome {
 	}
 }
 
+// checkLive asserts that the still-open store serves every acknowledged value:
+// a fault may fail the operation it hit, but must leave no reference dangling.
+func (o *outcome) checkLive(t *testing.T, s *Store) {
+	t.Helper()
+	for k, v := range o.acked {
+		if got, err := s.Get(k); err != nil || !bytes.Equal(got, v) {
+			t.Fatalf("live store lost acknowledged key %q after a fault: %v", k, err)
+		}
+	}
+}
+
 // crashWorkload drives a store through puts, a delete, a compaction, and a
 // post-compaction put, recording acked vs unacked mutations.
-func crashWorkload(s *Store, o *outcome) {
+func crashWorkload(t *testing.T, s *Store, o *outcome, pad int) {
 	for i := 0; i < 5; i++ {
 		k := fmt.Sprintf("key-%02d", i)
-		v := bytes.Repeat([]byte{byte('a' + i)}, 16+i)
+		v := padded(bytes.Repeat([]byte{byte('a' + i)}, 16+i), pad)
 		if s.Put(k, v) == nil {
 			o.acked[k] = v
 		} else {
@@ -55,17 +85,20 @@ func crashWorkload(s *Store, o *outcome) {
 	} else {
 		o.unackedDeletes["key-01"] = true
 	}
+	o.checkLive(t, s)
 	s.Compact() // failure leaves live state untouched; success preserves it
-	if k, v := "post-compact", []byte("late write"); s.Put(k, v) == nil {
+	o.checkLive(t, s)
+	if k, v := "post-compact", padded([]byte("late write"), pad); s.Put(k, v) == nil {
 		o.acked[k] = v
 	} else {
 		o.unackedPuts[k] = v
 	}
+	o.checkLive(t, s)
 }
 
 // countWorkloadOps runs the workload fault-free under a Recorder and
 // returns how many IO operations it performs.
-func countWorkloadOps(t *testing.T) int {
+func countWorkloadOps(t *testing.T, pad int) int {
 	t.Helper()
 	rec := &fault.Recorder{}
 	path := filepath.Join(t.TempDir(), "probe.log")
@@ -73,7 +106,7 @@ func countWorkloadOps(t *testing.T) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crashWorkload(s, newOutcome())
+	crashWorkload(t, s, newOutcome(), pad)
 	s.Close()
 	return len(rec.Ops())
 }
@@ -125,25 +158,27 @@ func verifyRecovered(t *testing.T, path string, o *outcome) {
 
 func runFaultSweep(t *testing.T, inject func(i int) *fault.Script) {
 	t.Helper()
-	n := countWorkloadOps(t)
-	if n < 20 {
-		t.Fatalf("workload exercised only %d IO ops; sweep too small", n)
-	}
-	for i := 1; i <= n; i++ {
-		t.Run(fmt.Sprintf("op-%02d", i), func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "kv.log")
-			s, err := Open(path, Options{Sync: true, FS: fault.New(inject(i))})
-			if err != nil {
-				// The fault hit Open itself: nothing was acknowledged, and
-				// a fresh open must find an empty-but-healthy store.
-				verifyRecovered(t, path, newOutcome())
-				return
-			}
-			o := newOutcome()
-			crashWorkload(s, o)
-			s.Close() // may fail under the injector; recovery is what matters
-			verifyRecovered(t, path, o)
-		})
+	for _, ax := range sizeAxes {
+		n := countWorkloadOps(t, ax.pad)
+		if n < 20 {
+			t.Fatalf("workload exercised only %d IO ops; sweep too small", n)
+		}
+		for i := 1; i <= n; i++ {
+			t.Run(fmt.Sprintf("%sop-%02d", ax.prefix, i), func(t *testing.T) {
+				path := filepath.Join(t.TempDir(), "kv.log")
+				s, err := Open(path, Options{Sync: true, FS: fault.New(inject(i))})
+				if err != nil {
+					// The fault hit Open itself: nothing was acknowledged, and
+					// a fresh open must find an empty-but-healthy store.
+					verifyRecovered(t, path, newOutcome())
+					return
+				}
+				o := newOutcome()
+				crashWorkload(t, s, o, ax.pad)
+				s.Close() // may fail under the injector; recovery is what matters
+				verifyRecovered(t, path, o)
+			})
+		}
 	}
 }
 
@@ -295,30 +330,54 @@ type batchOutcome struct {
 
 // crashWorkloadBatch drives a store through atomic batches (including
 // deletes), a compaction, and a post-compaction batch.
-func crashWorkloadBatch(s *Store, o *batchOutcome) {
+func crashWorkloadBatch(t *testing.T, s *Store, o *batchOutcome, pad int) {
 	record := func(ops []Op) {
 		if s.Apply(ops) == nil {
 			o.acked = append(o.acked, ops)
 		} else {
 			o.unacked = append(o.unacked, ops)
 		}
+		o.checkLive(t, s)
 	}
 	for i := 0; i < 4; i++ {
 		record([]Op{
-			{Key: fmt.Sprintf("b%d/x", i), Value: bytes.Repeat([]byte{byte('a' + i)}, 12)},
-			{Key: fmt.Sprintf("b%d/y", i), Value: bytes.Repeat([]byte{byte('A' + i)}, 12)},
+			{Key: fmt.Sprintf("b%d/x", i), Value: padded(bytes.Repeat([]byte{byte('a' + i)}, 12), pad)},
+			{Key: fmt.Sprintf("b%d/y", i), Value: padded(bytes.Repeat([]byte{byte('A' + i)}, 12), pad)},
 		})
 	}
 	// A batch that deletes keys written by an earlier batch.
 	record([]Op{
 		{Key: "b0/x", Delete: true},
-		{Key: "b0/z", Value: []byte("replacement")},
+		{Key: "b0/z", Value: padded([]byte("replacement"), pad)},
 	})
 	s.Compact()
+	o.checkLive(t, s)
 	record([]Op{
-		{Key: "post/x", Value: []byte("late-1")},
-		{Key: "post/y", Value: []byte("late-2")},
+		{Key: "post/x", Value: padded([]byte("late-1"), pad)},
+		{Key: "post/y", Value: padded([]byte("late-2"), pad)},
 	})
+}
+
+// checkLive asserts that the still-open store serves the final effect of the
+// acknowledged batches exactly: in the live store (unlike after a reopen) an
+// unacknowledged batch is never applied, so nothing is ambiguous.
+func (o *batchOutcome) checkLive(t *testing.T, s *Store) {
+	t.Helper()
+	want := map[string][]byte{}
+	for _, ops := range o.acked {
+		for _, op := range ops {
+			if op.Delete {
+				delete(want, op.Key)
+			} else {
+				want[op.Key] = op.Value
+			}
+		}
+	}
+	for k, v := range want {
+		if got, err := s.Get(k); err != nil || !bytes.Equal(got, v) {
+			t.Fatalf("live store lost acknowledged key %q after a fault: %v", k, err)
+		}
+	}
 }
 
 // verifyBatchAtomicity reopens fault-free and checks that no batch applied
@@ -388,31 +447,33 @@ func verifyBatchAtomicity(t *testing.T, path string, o *batchOutcome) {
 
 func runBatchFaultSweep(t *testing.T, inject func(i int) *fault.Script) {
 	t.Helper()
-	rec := &fault.Recorder{}
-	probe := filepath.Join(t.TempDir(), "probe.log")
-	s, err := Open(probe, Options{Sync: true, FS: fault.New(rec)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	crashWorkloadBatch(s, &batchOutcome{})
-	s.Close()
-	n := len(rec.Ops())
-	if n < 10 {
-		t.Fatalf("batch workload exercised only %d IO ops; sweep too small", n)
-	}
-	for i := 1; i <= n; i++ {
-		t.Run(fmt.Sprintf("op-%02d", i), func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "kv.log")
-			s, err := Open(path, Options{Sync: true, FS: fault.New(inject(i))})
-			if err != nil {
-				verifyBatchAtomicity(t, path, &batchOutcome{})
-				return
-			}
-			o := &batchOutcome{}
-			crashWorkloadBatch(s, o)
-			s.Close()
-			verifyBatchAtomicity(t, path, o)
-		})
+	for _, ax := range sizeAxes {
+		rec := &fault.Recorder{}
+		probe := filepath.Join(t.TempDir(), "probe.log")
+		s, err := Open(probe, Options{Sync: true, FS: fault.New(rec)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		crashWorkloadBatch(t, s, &batchOutcome{}, ax.pad)
+		s.Close()
+		n := len(rec.Ops())
+		if n < 10 {
+			t.Fatalf("batch workload exercised only %d IO ops; sweep too small", n)
+		}
+		for i := 1; i <= n; i++ {
+			t.Run(fmt.Sprintf("%sop-%02d", ax.prefix, i), func(t *testing.T) {
+				path := filepath.Join(t.TempDir(), "kv.log")
+				s, err := Open(path, Options{Sync: true, FS: fault.New(inject(i))})
+				if err != nil {
+					verifyBatchAtomicity(t, path, &batchOutcome{})
+					return
+				}
+				o := &batchOutcome{}
+				crashWorkloadBatch(t, s, o, ax.pad)
+				s.Close()
+				verifyBatchAtomicity(t, path, o)
+			})
+		}
 	}
 }
 
@@ -453,37 +514,39 @@ func TestCrashSweepMidCompact(t *testing.T) {
 		}
 		return false
 	}
-	// Count matching ops in a fault-free run.
-	rec := &fault.Recorder{}
-	probe := filepath.Join(t.TempDir(), "probe.log")
-	s, err := Open(probe, Options{Sync: true, FS: fault.New(rec)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	crashWorkloadBatch(s, &batchOutcome{})
-	s.Close()
-	n := 0
-	for _, op := range rec.Ops() {
-		if match(op.Op, op.Path) {
-			n++
+	for _, ax := range sizeAxes {
+		// Count matching ops in a fault-free run.
+		rec := &fault.Recorder{}
+		probe := filepath.Join(t.TempDir(), "probe.log")
+		s, err := Open(probe, Options{Sync: true, FS: fault.New(rec)})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if n < 3 {
-		t.Fatalf("compact path exercised only %d matching ops", n)
-	}
-	for i := 1; i <= n; i++ {
-		t.Run(fmt.Sprintf("op-%02d", i), func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "kv.log")
-			inj := &fault.Script{FailAt: i, Match: match}
-			s, err := Open(path, Options{Sync: true, FS: fault.New(inj)})
-			if err != nil {
-				verifyBatchAtomicity(t, path, &batchOutcome{})
-				return
+		crashWorkloadBatch(t, s, &batchOutcome{}, ax.pad)
+		s.Close()
+		n := 0
+		for _, op := range rec.Ops() {
+			if match(op.Op, op.Path) {
+				n++
 			}
-			o := &batchOutcome{}
-			crashWorkloadBatch(s, o)
-			s.Close()
-			verifyBatchAtomicity(t, path, o)
-		})
+		}
+		if n < 3 {
+			t.Fatalf("compact path exercised only %d matching ops", n)
+		}
+		for i := 1; i <= n; i++ {
+			t.Run(fmt.Sprintf("%sop-%02d", ax.prefix, i), func(t *testing.T) {
+				path := filepath.Join(t.TempDir(), "kv.log")
+				inj := &fault.Script{FailAt: i, Match: match}
+				s, err := Open(path, Options{Sync: true, FS: fault.New(inj)})
+				if err != nil {
+					verifyBatchAtomicity(t, path, &batchOutcome{})
+					return
+				}
+				o := &batchOutcome{}
+				crashWorkloadBatch(t, s, o, ax.pad)
+				s.Close()
+				verifyBatchAtomicity(t, path, o)
+			})
+		}
 	}
 }

@@ -20,6 +20,10 @@
 //     record (e.g. from a crash mid-append or a torn group-commit page) is
 //     detected and truncated away; corruption anywhere earlier is reported
 //     as ErrCorrupt rather than silently dropped.
+//   - The in-memory state of a file-backed store holds small values inline
+//     and, for values of refThreshold bytes and over, a reference (offset,
+//     length, CRC-32) to where the value already sits in the log: the log is
+//     the value store, and reading such a value is one checksummed pread.
 //   - Compact rewrites the log from a copy-on-write snapshot while readers
 //     and writers keep running; pages committed during the rewrite are
 //     captured in a delta and appended behind the snapshot before the
@@ -39,6 +43,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,6 +74,17 @@ var (
 	mOpApply  = opCounter("apply")
 	mOpGet    = opCounter("get")
 	mOpScan   = opCounter("scan")
+
+	// Referenced-value reads, i.e. Gets and Scans answered by a pread of the
+	// log. Inline reads are kvstore_ops_total{op="get"} minus these — the
+	// hot path pays for no second counter.
+	mValueReads    = obs.Default().Counter("kvstore_value_reads_total", obs.L("source", "log"))
+	mValueReadDur  = obs.Default().Histogram("kvstore_value_read_duration_seconds", nil)
+	mValueReadErrs = obs.Default().Counter("kvstore_value_read_errors_total")
+	// Value bytes held in RAM versus left in the log, summed over every open
+	// store in the process.
+	mResidentBytes   = obs.Default().Gauge("kvstore_resident_value_bytes")
+	mReferencedBytes = obs.Default().Gauge("kvstore_referenced_value_bytes")
 )
 
 func opCounter(op string) *obs.Counter {
@@ -112,6 +128,17 @@ const (
 	// compactSuffix names the temporary rewrite target of Compact. A
 	// leftover file (crash mid-compact) is removed on Open.
 	compactSuffix = ".compact"
+
+	// refThreshold is the value length from which a file-backed store keeps
+	// a reference into the log instead of the bytes. It is a constant, not
+	// an option, because one size test separates the lake's two kinds of
+	// value cleanly: registry records, cards, provenance rows and name-index
+	// entries are 200–500 B, read on every request, and stay inline, while
+	// vec records (two spaces × dim × float64, ≈ 2.4 kB) are read once per
+	// Open and are two thirds of the log. A pread costs a syscall plus the
+	// CRC, so the threshold sits well above the hot values and, at 64× the
+	// 16-byte reference, where the saving dwarfs the bookkeeping.
+	refThreshold = 1 << 10
 )
 
 // epochKey is the sentinel Op key that carries an epoch stamp through the
@@ -145,13 +172,92 @@ var waiterPool = sync.Pool{
 func getWaiter() *waiter  { return waiterPool.Get().(*waiter) }
 func putWaiter(w *waiter) { w.ops = nil; w.single[0] = Op{}; waiterPool.Put(w) }
 
+// valueRef locates a committed value inside the log file. The record CRC
+// covers a whole batch and cannot be re-checked for one value, so a reference
+// carries the CRC-32 of the value alone, taken when the value was committed
+// or replayed; a read that does not reproduce it is ErrCorrupt, never bytes.
+type valueRef struct {
+	off int64  // file offset of the value's first byte
+	n   uint32 // value length, ≥ refThreshold (record size caps it far below 4 GiB)
+	crc uint32
+}
+
+// logFile is the open log plus a pin count. A referenced read pins the handle
+// its offsets belong to and reads with no store lock held; Compact and Close
+// only drop the store's own pin, so a read in flight across a log swap
+// finishes against the old (by then unlinked) file, which closes with the
+// last unpin.
+type logFile struct {
+	*fault.File
+	pins atomic.Int32 // the store's pin plus one per read in flight
+}
+
+func newLogFile(f *fault.File) *logFile {
+	l := &logFile{File: f}
+	l.pins.Store(1)
+	return l
+}
+
+// pin reports false when the store has been closed and the last reader is
+// gone: the file is closed and must not be read.
+func (l *logFile) pin() bool {
+	for {
+		n := l.pins.Load()
+		if n == 0 {
+			return false
+		}
+		if l.pins.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
+// unpin closes the file with the last pin and returns that Close's error.
+func (l *logFile) unpin() error {
+	if l.pins.Add(-1) == 0 {
+		return l.File.Close()
+	}
+	return nil
+}
+
+// readValue preads the value r refers to into buf (grown if too small) and
+// verifies it against the reference's own CRC.
+func (l *logFile) readValue(r valueRef, buf []byte) ([]byte, error) {
+	start := time.Now()
+	mValueReads.Inc()
+	if cap(buf) < int(r.n) {
+		buf = make([]byte, r.n)
+	}
+	buf = buf[:r.n]
+	if _, err := l.ReadAt(buf, r.off); err != nil {
+		mValueReadErrs.Inc()
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return nil, fmt.Errorf("%w: log ends inside the value at offset %d", ErrCorrupt, r.off)
+		}
+		return nil, fmt.Errorf("kvstore: read value at offset %d: %w", r.off, err)
+	}
+	if crc32.ChecksumIEEE(buf) != r.crc {
+		mValueReadErrs.Inc()
+		return nil, fmt.Errorf("%w: value checksum mismatch at offset %d", ErrCorrupt, r.off)
+	}
+	mValueReadDur.Since(start)
+	return buf, nil
+}
+
 // Store is a durable string-keyed byte store. It is safe for concurrent use.
 //
 // Lock order (never taken in reverse): qmu and fileMu are never held
 // together; fileMu may take mu; nothing that holds mu takes another lock.
 type Store struct {
-	mu   sync.RWMutex // guards data
-	data map[string][]byte
+	mu sync.RWMutex // guards data, refs and the byte counts; f together with fileMu
+	// A live key is in exactly one of the two maps: data holds its bytes,
+	// refs points at them in the log (file-backed stores, values of
+	// refThreshold and over). Two maps rather than one wider entry so an
+	// inline value costs exactly what it did before references existed.
+	data            map[string][]byte
+	refs            map[string]valueRef
+	residentBytes   int64 // Σ len over data
+	referencedBytes int64 // Σ n over refs
 
 	// epoch is the replication leadership epoch last seen in the log (0 =
 	// never stamped). Replay, local commits, and shipped pages all land here
@@ -175,14 +281,17 @@ type Store struct {
 	batchBuf []*waiter  // leader-only scratch, serialized by the leading flag
 
 	// Log file state. commitBatch holds fileMu across write+fsync+apply so
-	// log order always equals in-memory apply order.
+	// log order always equals in-memory apply order. f is written only with
+	// fileMu and mu both held, so either lock suffices to read it: the
+	// commit paths hold fileMu, referenced reads hold mu.
 	fileMu     sync.Mutex
-	f          *fault.File // nil for in-memory
-	size       int64       // end offset of the last fully acknowledged record
-	ioErr      error       // poison: set when a failed append could not be rolled back
-	pageBuf    []byte      // reusable commit-page buffer
-	compacting bool        // a compaction snapshot is being written
-	delta      []byte      // pages committed while compacting, replayed over the snapshot
+	f          *logFile // nil for in-memory
+	size       int64    // end offset of the last fully acknowledged record
+	ioErr      error    // poison: set when a failed append could not be rolled back
+	pageBuf    []byte   // reusable commit-page buffer
+	voffBuf    []int    // reusable: offset in pageBuf of each op's value
+	compacting bool     // a compaction snapshot is being written
+	delta      []byte   // pages committed while compacting, replayed over the snapshot
 
 	compactMu sync.Mutex // serializes whole Compact calls
 
@@ -232,8 +341,9 @@ func Open(path string, opts Options) (*Store, error) {
 	}
 	s := &Store{
 		data:     make(map[string][]byte),
+		refs:     make(map[string]valueRef),
 		path:     path,
-		f:        f,
+		f:        newLogFile(f),
 		fsys:     opts.FS,
 		sync:     opts.Sync,
 		maxBatch: opts.MaxBatch,
@@ -244,21 +354,27 @@ func Open(path string, opts Options) (*Store, error) {
 		s.maxBatch = DefaultMaxBatch
 	}
 	s.drained = sync.NewCond(&s.qmu)
-	validLen, err := s.replay()
-	if err != nil {
+	fail := func(err error) (*Store, error) {
+		s.forgetGauges()
 		f.Close()
 		return nil, err
 	}
+	fi, err := f.Stat()
+	if err != nil {
+		return fail(fmt.Errorf("kvstore: stat %s: %w", path, err))
+	}
+	validLen, err := s.replay(fi.Size())
+	if err != nil {
+		return fail(err)
+	}
 	// Truncate a torn tail so subsequent appends start at a clean boundary.
-	if fi, err := f.Stat(); err == nil && fi.Size() > validLen {
+	if fi.Size() > validLen {
 		if err := f.Truncate(validLen); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("kvstore: truncate torn tail: %w", err)
+			return fail(fmt.Errorf("kvstore: truncate torn tail: %w", err))
 		}
 	}
 	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("kvstore: seek: %w", err)
+		return fail(fmt.Errorf("kvstore: seek: %w", err))
 	}
 	s.size = validLen
 	return s, nil
@@ -270,26 +386,28 @@ func Open(path string, opts Options) (*Store, error) {
 // handful of large sequential ones.
 const replayBufSize = 1 << 20
 
-// replay scans the log, rebuilding the in-memory map, and returns the byte
+// replay scans the fileSize-byte log, rebuilding the in-memory state through
+// the same decode + apply the replication path uses, and returns the byte
 // offset of the end of the last complete, valid record.
-func (s *Store) replay() (int64, error) {
+//
+// Every record is read into one reused buffer: applyOps copies inline values
+// out and keeps only (offset, length, CRC) of the rest. Storing slices of the
+// payload instead would let one 200-byte card pin its whole batch record —
+// 128 models, ≈ 466 kB, vectors included — for the life of the process.
+func (s *Store) replay(fileSize int64) (int64, error) {
 	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
 		return 0, fmt.Errorf("kvstore: seek: %w", err)
-	}
-	fileSize := int64(-1)
-	if fi, err := s.f.Stat(); err == nil {
-		fileSize = fi.Size()
 	}
 	r := bufio.NewReaderSize(s.f, replayBufSize)
 	var offset int64
 	hdr := make([]byte, headerSize)
+	var payload []byte
+	var voffs []int
 	for {
 		_, err := io.ReadFull(r, hdr)
-		if err == io.EOF {
-			return offset, nil
-		}
-		if err == io.ErrUnexpectedEOF {
-			// Torn header at the tail: stop at the last good record.
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			// Clean end, or a torn header at the tail: stop at the last good
+			// record.
 			return offset, nil
 		}
 		if err != nil {
@@ -300,77 +418,38 @@ func (s *Store) replay() (int64, error) {
 		if payloadLen > maxRecordSize {
 			return 0, fmt.Errorf("%w: record length %d at offset %d", ErrCorrupt, payloadLen, offset)
 		}
-		payload := make([]byte, payloadLen)
+		recEnd := offset + int64(headerSize) + int64(payloadLen)
+		if recEnd > fileSize {
+			// Torn payload at the tail. Checked before sizing the buffer, so
+			// a length field can never claim more than the file holds.
+			return offset, nil
+		}
+		if cap(payload) < int(payloadLen) {
+			payload = make([]byte, payloadLen)
+		}
+		payload = payload[:payloadLen]
 		if _, err := io.ReadFull(r, payload); err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				// Torn payload at the tail.
 				return offset, nil
 			}
 			return 0, fmt.Errorf("kvstore: read payload: %w", err)
 		}
-		recEnd := offset + int64(headerSize) + int64(payloadLen)
 		if crc32.ChecksumIEEE(payload) != wantCRC {
 			// A bad checksum mid-log is real corruption; at the very tail it
 			// could be a torn write, but we cannot distinguish, so only fail
 			// when more bytes follow the damaged record.
-			if fileSize >= 0 && recEnd >= fileSize {
+			if recEnd >= fileSize {
 				return offset, nil
 			}
 			return 0, fmt.Errorf("%w: checksum mismatch at offset %d", ErrCorrupt, offset)
 		}
-		if err := s.applyPayload(payload); err != nil {
+		var ops []Op
+		ops, voffs, err = decodePayloadOps(payload, 0, voffs[:0])
+		if err != nil {
 			return 0, err
 		}
+		s.applyOps(ops, offset+headerSize, voffs)
 		offset = recEnd
-	}
-}
-
-// applyPayload replays one CRC-verified record into the map. Batch records
-// are validated in full before any of their ops apply, so a batch is
-// all-or-nothing even against in-payload corruption.
-//
-// The payload is owned by replay and never reused, so stored values alias it
-// instead of copying — Get hands out copies and nothing mutates map values in
-// place, which makes the aliasing invisible to callers.
-func (s *Store) applyPayload(p []byte) error {
-	if len(p) < 5 {
-		return fmt.Errorf("%w: short payload", ErrCorrupt)
-	}
-	op := p[0]
-	switch op {
-	case opPut, opDelete:
-		keyLen := binary.LittleEndian.Uint32(p[1:5])
-		if int(keyLen) > len(p)-5 {
-			return fmt.Errorf("%w: key length overruns payload", ErrCorrupt)
-		}
-		key := string(p[5 : 5+keyLen])
-		if op == opPut {
-			s.data[key] = p[5+keyLen:]
-		} else {
-			delete(s.data, key)
-		}
-		return nil
-	case opBatch:
-		ops, err := decodeBatch(p)
-		if err != nil {
-			return err
-		}
-		for i := range ops {
-			if ops[i].Delete {
-				delete(s.data, ops[i].Key)
-			} else {
-				s.data[ops[i].Key] = ops[i].Value
-			}
-		}
-		return nil
-	case opEpoch:
-		if len(p) != 1+8 {
-			return fmt.Errorf("%w: epoch record length %d", ErrCorrupt, len(p))
-		}
-		s.epoch.Store(binary.LittleEndian.Uint64(p[1:9]))
-		return nil
-	default:
-		return fmt.Errorf("%w: unknown op %d", ErrCorrupt, op)
 	}
 }
 
@@ -379,25 +458,27 @@ func (s *Store) applyPayload(p []byte) error {
 //	[opBatch][count u32] then per op: [kind byte][keyLen u32][valLen u32][key][val]
 //
 // It fully validates bounds before returning, so a caller can treat the
-// result as atomic. Returned values alias p (see applyPayload); the sole
-// caller owns the payload and never modifies it after decoding.
-func decodeBatch(p []byte) ([]Op, error) {
+// result as atomic. Returned values alias p; base and voffs are as in
+// decodePayloadOps.
+func decodeBatch(p []byte, base int, voffs []int) ([]Op, []int, error) {
 	count := binary.LittleEndian.Uint32(p[1:5])
-	if count > maxRecordSize/9 {
-		return nil, fmt.Errorf("%w: batch count %d", ErrCorrupt, count)
+	// An op encodes to at least 9 bytes, so the payload's own length bounds
+	// what the count field may claim — and what is allocated for it.
+	if int64(count) > int64(len(p)-5)/9 {
+		return nil, nil, fmt.Errorf("%w: batch count %d", ErrCorrupt, count)
 	}
 	ops := make([]Op, 0, count)
 	off := 5
 	for i := uint32(0); i < count; i++ {
 		if off+9 > len(p) {
-			return nil, fmt.Errorf("%w: truncated batch op", ErrCorrupt)
+			return nil, nil, fmt.Errorf("%w: truncated batch op", ErrCorrupt)
 		}
 		kind := p[off]
 		keyLen := int(binary.LittleEndian.Uint32(p[off+1 : off+5]))
 		valLen := int(binary.LittleEndian.Uint32(p[off+5 : off+9]))
 		off += 9
 		if keyLen < 0 || valLen < 0 || off+keyLen+valLen > len(p) {
-			return nil, fmt.Errorf("%w: batch op overruns payload", ErrCorrupt)
+			return nil, nil, fmt.Errorf("%w: batch op overruns payload", ErrCorrupt)
 		}
 		key := string(p[off : off+keyLen])
 		off += keyLen
@@ -405,21 +486,25 @@ func decodeBatch(p []byte) ([]Op, error) {
 		if kind == opPut {
 			val = p[off : off+valLen : off+valLen]
 		} else if kind != opDelete {
-			return nil, fmt.Errorf("%w: unknown batch op %d", ErrCorrupt, kind)
+			return nil, nil, fmt.Errorf("%w: unknown batch op %d", ErrCorrupt, kind)
 		}
+		voffs = append(voffs, base+off)
 		off += valLen
 		ops = append(ops, Op{Key: key, Value: val, Delete: kind == opDelete})
 	}
 	if off != len(p) {
-		return nil, fmt.Errorf("%w: trailing bytes in batch record", ErrCorrupt)
+		return nil, nil, fmt.Errorf("%w: trailing bytes in batch record", ErrCorrupt)
 	}
-	return ops, nil
+	return ops, voffs, nil
 }
 
-// appendRecordPage appends one record (header + payload) for ops to page.
-// A single op uses the legacy record format so old logs and new logs share
-// one replay path; multiple ops use the atomic batch format.
-func appendRecordPage(page []byte, ops []Op) []byte {
+// appendRecordPage appends one record (header + payload) for ops to page,
+// and to voffs the offset within page of each op's value (meaningful for
+// puts only) — the encoder's half of the bookkeeping that lets applyOps turn
+// a large value into a reference to where it was just written. A single op
+// uses the legacy record format so old logs and new logs share one replay
+// path; multiple ops use the atomic batch format.
+func appendRecordPage(page []byte, voffs []int, ops []Op) ([]byte, []int) {
 	if len(ops) == 1 && ops[0].Key == epochKey && !ops[0].Delete {
 		// Epoch stamp: a dedicated record type, so logs written before
 		// epochs existed replay unchanged and followers can't mistake the
@@ -431,7 +516,7 @@ func appendRecordPage(page []byte, ops []Op) []byte {
 		page = append(page, ops[0].Value[:8]...)
 		binary.LittleEndian.PutUint32(page[hdrAt:hdrAt+4], uint32(len(page)-payloadAt))
 		binary.LittleEndian.PutUint32(page[hdrAt+4:hdrAt+8], crc32.ChecksumIEEE(page[payloadAt:]))
-		return page
+		return page, append(voffs, 0)
 	}
 	var payloadLen int
 	if len(ops) == 1 {
@@ -460,6 +545,7 @@ func appendRecordPage(page []byte, ops []Op) []byte {
 		page = append(page, kind)
 		page = binary.LittleEndian.AppendUint32(page, uint32(len(op.Key)))
 		page = append(page, op.Key...)
+		voffs = append(voffs, len(page))
 		if !op.Delete {
 			page = append(page, op.Value...)
 		}
@@ -478,6 +564,7 @@ func appendRecordPage(page []byte, ops []Op) []byte {
 			page = binary.LittleEndian.AppendUint32(page, uint32(len(op.Key)))
 			page = binary.LittleEndian.AppendUint32(page, uint32(vlen))
 			page = append(page, op.Key...)
+			voffs = append(voffs, len(page))
 			if !op.Delete {
 				page = append(page, op.Value...)
 			}
@@ -485,7 +572,7 @@ func appendRecordPage(page []byte, ops []Op) []byte {
 	}
 	binary.LittleEndian.PutUint32(page[hdrAt:hdrAt+4], uint32(payloadLen))
 	binary.LittleEndian.PutUint32(page[hdrAt+4:hdrAt+8], crc32.ChecksumIEEE(page[payloadAt:]))
-	return page
+	return page, voffs
 }
 
 // opsSize returns the encoded record size for ops (header included).
@@ -507,8 +594,18 @@ func opsSize(ops []Op) int {
 	return n
 }
 
-// applyOps applies committed ops to the in-memory map. Caller holds s.mu.
-func (s *Store) applyOps(ops []Op) {
+// applyOps applies committed ops to the in-memory state. Caller holds s.mu
+// (replay excepted: nothing else can see the store yet).
+//
+// base is the file offset of the buffer the ops were encoded into or decoded
+// from, and voffs[i] the offset within that buffer of ops[i]'s value: a value
+// of refThreshold bytes or more is kept as a reference to base+voffs[i],
+// anything smaller is copied inline. Callers apply only after the bytes at
+// base are written and (when durable) fsynced, so a reference never points
+// into a page rollbackTail could take back. A nil voffs — an in-memory store
+// — keeps every value inline.
+func (s *Store) applyOps(ops []Op, base int64, voffs []int) {
+	resident, referenced := s.residentBytes, s.referencedBytes
 	for i := range ops {
 		op := &ops[i]
 		if op.Key == epochKey {
@@ -517,14 +614,44 @@ func (s *Store) applyOps(ops []Op) {
 			}
 			continue
 		}
-		if op.Delete {
+		if old, ok := s.data[op.Key]; ok {
+			s.residentBytes -= int64(len(old))
 			delete(s.data, op.Key)
-			continue
+		} else if old, ok := s.refs[op.Key]; ok {
+			s.referencedBytes -= int64(old.n)
+			delete(s.refs, op.Key)
 		}
-		cp := make([]byte, len(op.Value))
-		copy(cp, op.Value)
-		s.data[op.Key] = cp
+		switch {
+		case op.Delete:
+		case voffs != nil && len(op.Value) >= refThreshold:
+			s.refs[op.Key] = valueRef{
+				off: base + int64(voffs[i]),
+				n:   uint32(len(op.Value)),
+				crc: crc32.ChecksumIEEE(op.Value),
+			}
+			s.referencedBytes += int64(len(op.Value))
+		default:
+			cp := make([]byte, len(op.Value))
+			copy(cp, op.Value)
+			s.data[op.Key] = cp
+			s.residentBytes += int64(len(cp))
+		}
 	}
+	if d := s.residentBytes - resident; d != 0 {
+		mResidentBytes.Add(d)
+	}
+	if d := s.referencedBytes - referenced; d != 0 {
+		mReferencedBytes.Add(d)
+	}
+}
+
+// forgetGauges takes this store's bytes back out of the process-wide
+// resident / referenced gauges when it stops being an open store.
+func (s *Store) forgetGauges() {
+	s.mu.RLock()
+	mResidentBytes.Add(-s.residentBytes)
+	mReferencedBytes.Add(-s.referencedBytes)
+	s.mu.RUnlock()
 }
 
 // commit enqueues w and blocks until its ops are durably committed (or
@@ -532,10 +659,10 @@ func (s *Store) applyOps(ops []Op) {
 // it drains the queue in bounded batches, writes each batch as one page,
 // fsyncs once per page, applies the ops, and wakes the followers.
 func (s *Store) commit(w *waiter) error {
-	if s.f == nil {
+	if s.path == "" {
 		// In-memory store: no log, apply directly.
 		s.mu.Lock()
-		s.applyOps(w.ops)
+		s.applyOps(w.ops, 0, nil)
 		s.mu.Unlock()
 		putWaiter(w)
 		s.notifyCommit()
@@ -609,11 +736,11 @@ func (s *Store) commitBatch(batch []*waiter) error {
 	if s.ioErr != nil {
 		return fmt.Errorf("%w: %v", ErrFailed, s.ioErr)
 	}
-	page := s.pageBuf[:0]
+	page, voffs := s.pageBuf[:0], s.voffBuf[:0]
 	for _, w := range batch {
-		page = appendRecordPage(page, w.ops)
+		page, voffs = appendRecordPage(page, voffs, w.ops)
 	}
-	s.pageBuf = page
+	s.pageBuf, s.voffBuf = page, voffs
 	wstart := time.Now()
 	if _, err := s.f.Write(page); err != nil {
 		s.rollbackTail(err)
@@ -631,13 +758,15 @@ func (s *Store) commitBatch(batch []*waiter) error {
 		}
 		mFsyncDur.Since(fstart)
 	}
+	base := s.size
 	s.size += int64(len(page))
 	if s.compacting {
 		s.delta = append(s.delta, page...)
 	}
 	s.mu.Lock()
 	for _, w := range batch {
-		s.applyOps(w.ops)
+		s.applyOps(w.ops, base, voffs[:len(w.ops)])
+		voffs = voffs[len(w.ops):]
 	}
 	s.mu.Unlock()
 	mBatchSize.Observe(float64(len(batch)))
@@ -681,10 +810,7 @@ func (s *Store) Delete(key string) error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	s.mu.RLock()
-	_, ok := s.data[key]
-	s.mu.RUnlock()
-	if !ok {
+	if !s.Has(key) {
 		return nil
 	}
 	w := getWaiter()
@@ -753,28 +879,43 @@ func (s *Store) SetSync(on bool) {
 	s.fileMu.Unlock()
 }
 
-// Get returns the value stored under key, or ErrNotFound.
+// Get returns the value stored under key, or ErrNotFound. A value the store
+// keeps by reference is read back from the log and checked against its CRC;
+// one that no longer matches is ErrCorrupt.
 func (s *Store) Get(key string) ([]byte, error) {
 	mOpGet.Inc()
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v, ok := s.data[key]
+	if v, ok := s.data[key]; ok {
+		cp := make([]byte, len(v))
+		copy(cp, v)
+		s.mu.RUnlock()
+		return cp, nil
+	}
+	r, ok := s.refs[key]
+	f := s.f
+	pinned := ok && f.pin()
+	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
-	cp := make([]byte, len(v))
-	copy(cp, v)
-	return cp, nil
+	if !pinned {
+		return nil, ErrClosed
+	}
+	defer f.unpin()
+	return f.readValue(r, nil)
 }
 
 // Has reports whether key is present.
 func (s *Store) Has(key string) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	_, ok := s.data[key]
+	if _, ok := s.data[key]; ok {
+		return true
+	}
+	_, ok := s.refs[key]
 	return ok
 }
 
@@ -782,20 +923,81 @@ func (s *Store) Has(key string) bool {
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.data)
+	return len(s.data) + len(s.refs)
 }
 
-// ApproxMemBytes estimates the heap retained by the live key/value map:
-// keys, values, and a rough 48-byte per-entry bucket overhead (the same
-// heuristic the search indexes use, so lake tier reports add up).
-func (s *Store) ApproxMemBytes() int64 {
+// Count returns the number of live keys with the given prefix. Unlike
+// len(Keys(prefix)) it takes no snapshot, sorts nothing and allocates
+// nothing: it walks the key set under the read lock.
+func (s *Store) Count(prefix string) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var n int64
-	for k, v := range s.data {
-		n += int64(len(k)) + 16 + int64(len(v)) + 24 + 48
+	n := 0
+	for k := range s.data {
+		if strings.HasPrefix(k, prefix) {
+			n++
+		}
+	}
+	for k := range s.refs {
+		if strings.HasPrefix(k, prefix) {
+			n++
+		}
 	}
 	return n
+}
+
+// ApproxMemBytes estimates the heap retained by the live state — keys,
+// resident values, references, and a rough 48-byte per-entry bucket overhead
+// (the same heuristic the search indexes use, so lake tier reports add up) —
+// and, beside it, the value bytes that are not resident: left in the log and
+// reachable through a reference.
+func (s *Store) ApproxMemBytes() (resident, referenced int64) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for k := range s.data {
+		resident += int64(len(k)) + 16 + 24 + 48
+	}
+	for k := range s.refs {
+		resident += int64(len(k)) + 16 + 16 + 48
+	}
+	return resident + s.residentBytes, s.referencedBytes
+}
+
+// entry is one key of a snapshot: its inline bytes, or — r.n is never zero
+// for one — the reference to them.
+type entry struct {
+	k string
+	v []byte
+	r valueRef
+}
+
+// snapshot returns the entries under prefix in key order, sized by what
+// matched. Inline values are shared, not copied (nothing mutates a stored
+// value in place). When any entry is a reference, the log file its offsets
+// belong to is returned pinned, so the values stay readable across a Compact
+// or Close; the caller unpins it when done.
+func (s *Store) snapshot(prefix string) ([]entry, *logFile, error) {
+	var snap []entry
+	var f *logFile
+	s.mu.RLock()
+	for k, v := range s.data {
+		if strings.HasPrefix(k, prefix) {
+			snap = append(snap, entry{k: k, v: v})
+		}
+	}
+	for k, r := range s.refs {
+		if strings.HasPrefix(k, prefix) {
+			snap = append(snap, entry{k: k, r: r})
+			f = s.f
+		}
+	}
+	pinned := f == nil || f.pin()
+	s.mu.RUnlock()
+	if !pinned {
+		return nil, nil, ErrClosed
+	}
+	sort.Slice(snap, func(i, j int) bool { return snap[i].k < snap[j].k })
+	return snap, f, nil
 }
 
 // Scan calls fn for every key with the given prefix, in sorted key order.
@@ -803,60 +1005,84 @@ func (s *Store) ApproxMemBytes() int64 {
 // snapshotted under the lock first and fn runs lock-free, so a callback may
 // safely call back into the store (Get, Put, even Scan) without
 // self-deadlocking; mutations made by the callback are not reflected in the
-// snapshot being iterated. The value slice passed to fn must not be
-// retained or modified.
+// snapshot being iterated. A referenced value is read from the log only when
+// the scan reaches it, one at a time, and a corrupt one ends the scan with
+// ErrCorrupt. The value slice passed to fn must not be retained or modified.
 func (s *Store) Scan(prefix string, fn func(key string, value []byte) bool) error {
 	mOpScan.Inc()
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	type kv struct {
-		k string
-		v []byte
+	snap, f, err := s.snapshot(prefix)
+	if err != nil {
+		return err
 	}
-	s.mu.RLock()
-	snap := make([]kv, 0, len(s.data))
-	for k, v := range s.data {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			snap = append(snap, kv{k, v})
-		}
+	if f != nil {
+		defer f.unpin()
 	}
-	s.mu.RUnlock()
-	sort.Slice(snap, func(i, j int) bool { return snap[i].k < snap[j].k })
+	var buf []byte
 	for i := range snap {
-		if !fn(snap[i].k, snap[i].v) {
+		v := snap[i].v
+		if snap[i].r.n != 0 {
+			if buf, err = f.readValue(snap[i].r, buf); err != nil {
+				return err
+			}
+			v = buf
+		}
+		if !fn(snap[i].k, v) {
 			return nil
 		}
 	}
 	return nil
 }
 
-// Keys returns all live keys with the given prefix in sorted order.
+// Keys returns all live keys with the given prefix in sorted order. No value
+// is read.
 func (s *Store) Keys(prefix string) []string {
+	mOpScan.Inc()
+	if s.closed.Load() {
+		return nil
+	}
+	snap, f, err := s.snapshot(prefix)
+	if err != nil {
+		return nil
+	}
+	if f != nil {
+		f.unpin()
+	}
 	var out []string
-	s.Scan(prefix, func(k string, _ []byte) bool {
-		out = append(out, k)
-		return true
-	})
+	for i := range snap {
+		out = append(out, snap[i].k)
+	}
 	return out
 }
 
 // Compact rewrites the log so it contains exactly the live records. It is a
 // no-op for in-memory stores.
 //
-// The rewrite is non-blocking: the live map is snapshotted copy-on-write
-// (value slices are never mutated in place, so sharing them is safe) and
-// written to a temporary file while readers and writers keep running. Pages
-// committed during the rewrite are captured in a delta and appended behind
-// the snapshot — records carry full values, so replaying the delta over the
-// snapshot is idempotent and yields exactly the live state. Only the final
-// swap (delta append + fsync + rename + dir fsync) briefly holds the file
-// lock.
+// The rewrite is non-blocking: the live state is snapshotted copy-on-write
+// (value slices are never mutated in place, so sharing them is safe;
+// referenced values are copied out of the old log by pread) and written to a
+// temporary file while readers and writers keep running. Pages committed
+// during the rewrite are captured in a delta and appended behind the snapshot
+// — records carry full values, so replaying the delta over the snapshot is
+// idempotent and yields exactly the live state. Only the final swap (delta
+// append + fsync + rename + dir fsync) briefly holds the file lock.
+//
+// The swap moves every value, so it rebases every reference, and installs
+// the new offsets together with the new file handle in one step under mu: a
+// concurrent Get sees the old handle with old offsets or the new with new,
+// never a mix, and never a closed file — the old handle is only unpinned,
+// after the swap. A reference below deltaStart (the old log's size when
+// capture began) is a snapshot value and moves to the offset the rewrite put
+// it at; one at or above it sits in a captured page, and since the delta is a
+// byte copy of the old log from deltaStart on, it moves by
+// snapshotLen − deltaStart.
 func (s *Store) Compact() error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	if s.f == nil {
+	if s.path == "" {
 		return nil
 	}
 	s.compactMu.Lock()
@@ -871,59 +1097,84 @@ func (s *Store) Compact() error {
 	s.fileMu.Lock()
 	s.compacting = true
 	s.delta = s.delta[:0]
+	deltaStart := s.size
 	s.fileMu.Unlock()
-	finishCapture := func() {
-		s.fileMu.Lock()
+	stopCapture := func() { // caller holds fileMu
 		s.compacting = false
 		s.delta = s.delta[:0]
-		s.fileMu.Unlock()
 	}
-	s.mu.RLock()
-	snap := make(map[string][]byte, len(s.data))
-	for k, v := range s.data {
-		snap[k] = v
+	snap, old, err := s.snapshot("")
+	if old != nil {
+		defer old.unpin()
 	}
-	s.mu.RUnlock()
 
 	// Phase 1: write the snapshot with no store locks held.
 	tmpPath := s.path + compactSuffix
-	tmp, err := s.fsys.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	var tmp *fault.File
+	if err == nil {
+		tmp, err = s.fsys.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	}
 	if err != nil {
-		finishCapture()
+		s.fileMu.Lock()
+		stopCapture()
+		s.fileMu.Unlock()
 		return fmt.Errorf("kvstore: compact: %w", err)
 	}
-	abort := func(cause error) error {
+	discard := func() {
 		tmp.Close()
 		s.fsys.Remove(tmpPath)
-		finishCapture()
-		return cause
 	}
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var newSize int64
-	var page []byte
-	// Re-stamp the current epoch first: the rewrite drops every historical
-	// record, and the epoch must survive reopen. (Replicated leaders must
-	// not Compact at all — see repl.go — but the epoch of a store that was
-	// once promoted and later runs standalone still has to persist.)
-	if e := s.epoch.Load(); e != 0 {
-		var v [8]byte
-		binary.LittleEndian.PutUint64(v[:], e)
-		page = appendRecordPage(page[:0], []Op{{Key: epochKey, Value: v[:]}})
-		if _, err := tmp.Write(page); err != nil {
-			return abort(fmt.Errorf("kvstore: compact write: %w", err))
+	movedTo := map[string]int64{} // new offset of each referenced snapshot value
+	writeSnapshot := func() error {
+		var page, val []byte
+		var voffs []int
+		emit := func(op Op) error {
+			page, voffs = appendRecordPage(page[:0], voffs[:0], []Op{op})
+			if _, err := tmp.Write(page); err != nil {
+				return fmt.Errorf("kvstore: compact write: %w", err)
+			}
+			newSize += int64(len(page))
+			return nil
 		}
-		newSize += int64(len(page))
+		// Re-stamp the current epoch first: the rewrite drops every
+		// historical record, and the epoch must survive reopen. (Replicated
+		// leaders must not Compact at all — see repl.go — but the epoch of a
+		// store that was once promoted and later runs standalone still has
+		// to persist.)
+		if e := s.epoch.Load(); e != 0 {
+			var v [8]byte
+			binary.LittleEndian.PutUint64(v[:], e)
+			if err := emit(Op{Key: epochKey, Value: v[:]}); err != nil {
+				return err
+			}
+		}
+		for i := range snap {
+			e := &snap[i]
+			v := e.v
+			if e.r.n != 0 {
+				var err error
+				if val, err = old.readValue(e.r, val); err != nil {
+					return fmt.Errorf("kvstore: compact %q: %w", e.k, err)
+				}
+				v = val
+			}
+			recAt := newSize
+			if err := emit(Op{Key: e.k, Value: v}); err != nil {
+				return err
+			}
+			if e.r.n != 0 {
+				movedTo[e.k] = recAt + int64(voffs[0])
+			}
+		}
+		return nil
 	}
-	for _, k := range keys {
-		page = appendRecordPage(page[:0], []Op{{Key: k, Value: snap[k]}})
-		if _, err := tmp.Write(page); err != nil {
-			return abort(fmt.Errorf("kvstore: compact write: %w", err))
-		}
-		newSize += int64(len(page))
+	if err := writeSnapshot(); err != nil {
+		discard()
+		s.fileMu.Lock()
+		stopCapture()
+		s.fileMu.Unlock()
+		return err
 	}
 
 	// Phase 2: freeze commits, flush the delta behind the snapshot, and
@@ -931,72 +1182,70 @@ func (s *Store) Compact() error {
 	s.fileMu.Lock()
 	defer s.fileMu.Unlock()
 	if s.closed.Load() {
-		s.fileMu.Unlock()
-		err := abort(ErrClosed)
-		s.fileMu.Lock()
-		return err
+		discard()
+		stopCapture()
+		return ErrClosed
 	}
+	snapshotLen := newSize
 	if len(s.delta) > 0 {
 		if _, err := tmp.Write(s.delta); err != nil {
-			s.fileMu.Unlock()
-			err = abort(fmt.Errorf("kvstore: compact delta write: %w", err))
-			s.fileMu.Lock()
-			return err
+			discard()
+			stopCapture()
+			return fmt.Errorf("kvstore: compact delta write: %w", err)
 		}
 		newSize += int64(len(s.delta))
 	}
-	s.compacting = false
-	s.delta = s.delta[:0]
+	stopCapture()
 	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		s.fsys.Remove(tmpPath)
+		discard()
 		return fmt.Errorf("kvstore: compact sync: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		s.fsys.Remove(tmpPath)
 		return fmt.Errorf("kvstore: compact close: %w", err)
 	}
-	if err := s.f.Close(); err != nil {
-		s.fsys.Remove(tmpPath)
-		return s.reopenLog(fmt.Errorf("kvstore: close old log: %w", err))
-	}
 	if err := s.fsys.Rename(tmpPath, s.path); err != nil {
-		// The old log is still in place and complete; reopen it so the
-		// store keeps serving, and surface the failed compaction.
+		// The old log is still in place, complete, and still open: the store
+		// keeps serving from it; surface the failed compaction.
 		s.fsys.Remove(tmpPath)
-		return s.reopenLog(fmt.Errorf("kvstore: swap compacted log: %w", err))
+		return fmt.Errorf("kvstore: swap compacted log: %w", err)
 	}
+	// From here on the compacted file is the log, whatever else fails.
 	// Fsync the parent directory: without it a crash after the rename can
 	// resurrect the old log, silently undoing the compaction.
-	if err := s.fsys.SyncDir(filepath.Dir(s.path)); err != nil {
-		return s.reopenLog(fmt.Errorf("kvstore: sync log directory: %w", err))
-	}
+	dirErr := s.fsys.SyncDir(filepath.Dir(s.path))
 	f, err := s.fsys.OpenFile(s.path, os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
+		// The old handle still reads every value at its old offset (an
+		// unlinked file keeps its bytes), but an append through it would be
+		// gone at the next Open: fail writes rather than lose them.
+		s.ioErr = err
 		return fmt.Errorf("kvstore: reopen after compact: %w", err)
 	}
-	s.f = f
+	prev := s.f
+	s.mu.Lock()
+	for k, r := range s.refs {
+		if r.off >= deltaStart {
+			r.off += snapshotLen - deltaStart
+		} else {
+			r.off = movedTo[k]
+		}
+		s.refs[k] = r
+	}
+	s.f = newLogFile(f)
+	s.mu.Unlock()
+	// The old file is unlinked and nothing in it is needed again, so the
+	// error of closing it (now, or when the last reader in flight finishes)
+	// changes nothing.
+	_ = prev.unpin()
 	s.size = newSize
-	// A completed compaction rewrote the log from in-memory state, so any
-	// earlier unrecoverable append failure is repaired.
+	if dirErr != nil {
+		return fmt.Errorf("kvstore: sync log directory: %w", dirErr)
+	}
+	// A completed compaction rewrote the log from live state, so any earlier
+	// unrecoverable append failure is repaired.
 	s.ioErr = nil
 	return nil
-}
-
-// reopenLog restores an open append handle on the current log after a
-// failed compaction step, so the store stays usable. The original cause is
-// returned; if even the reopen fails the store is poisoned.
-func (s *Store) reopenLog(cause error) error {
-	f, err := s.fsys.OpenFile(s.path, os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		s.ioErr = cause
-		return fmt.Errorf("%w (and reopen failed: %v)", cause, err)
-	}
-	s.f = f
-	if fi, err := f.Stat(); err == nil {
-		s.size = fi.Size()
-	}
-	return cause
 }
 
 // Close drains in-flight commits, fsyncs, and closes the store. The final
@@ -1014,14 +1263,17 @@ func (s *Store) Close() error {
 		s.drained.Wait()
 	}
 	s.qmu.Unlock()
+	s.forgetGauges()
 	s.fileMu.Lock()
 	defer s.fileMu.Unlock()
-	if s.f != nil {
-		if err := s.f.Sync(); err != nil {
-			s.f.Close()
-			return fmt.Errorf("kvstore: sync on close: %w", err)
-		}
-		return s.f.Close()
+	if s.path == "" {
+		return nil
 	}
-	return nil
+	// Dropping the store's pin closes the file, unless a referenced read is
+	// still in flight — then the last reader out closes it.
+	if err := s.f.Sync(); err != nil {
+		s.f.unpin()
+		return fmt.Errorf("kvstore: sync on close: %w", err)
+	}
+	return s.f.unpin()
 }

@@ -79,7 +79,7 @@ func (s *Store) ReadLogRange(from int64, maxBytes int) ([]byte, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
-	if s.f == nil {
+	if s.path == "" {
 		return nil, ErrNoLog
 	}
 	if maxBytes <= 0 {
@@ -141,61 +141,72 @@ func (s *Store) ReadLogRange(from int64, maxBytes int) ([]byte, error) {
 // lengths and checksums before returning. Returned keys are copies but
 // values alias page; callers that retain the ops must retain the page.
 func DecodePage(page []byte) ([][]Op, error) {
-	var out [][]Op
+	recs, _, err := decodePage(page)
+	return recs, err
+}
+
+// decodePage is DecodePage that also returns, flat in op order across the
+// records, the offset within page of every op's value (see applyOps).
+func decodePage(page []byte) (recs [][]Op, voffs []int, err error) {
 	off := 0
 	for off < len(page) {
 		if len(page)-off < headerSize {
-			return nil, fmt.Errorf("%w: truncated record header in page", ErrCorrupt)
+			return nil, nil, fmt.Errorf("%w: truncated record header in page", ErrCorrupt)
 		}
 		payloadLen := int(binary.LittleEndian.Uint32(page[off : off+4]))
 		wantCRC := binary.LittleEndian.Uint32(page[off+4 : off+8])
 		if payloadLen > maxRecordSize || off+headerSize+payloadLen > len(page) {
-			return nil, fmt.Errorf("%w: record overruns page", ErrCorrupt)
+			return nil, nil, fmt.Errorf("%w: record overruns page", ErrCorrupt)
 		}
 		payload := page[off+headerSize : off+headerSize+payloadLen]
 		if crc32.ChecksumIEEE(payload) != wantCRC {
-			return nil, fmt.Errorf("%w: checksum mismatch in page at offset %d", ErrCorrupt, off)
+			return nil, nil, fmt.Errorf("%w: checksum mismatch in page at offset %d", ErrCorrupt, off)
 		}
-		ops, err := decodePayloadOps(payload)
+		var ops []Op
+		ops, voffs, err = decodePayloadOps(payload, off+headerSize, voffs)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		out = append(out, ops)
+		recs = append(recs, ops)
 		off += headerSize + payloadLen
 	}
-	return out, nil
+	return recs, voffs, nil
 }
 
-// decodePayloadOps parses one CRC-verified record payload into its ops —
-// the decode half of applyPayload, shared by the replication path so a
-// follower applies exactly what replay would. Returned values alias p.
-func decodePayloadOps(p []byte) ([]Op, error) {
+// decodePayloadOps parses one CRC-verified record payload into its ops — the
+// one decoder behind replay and replication, so a follower applies exactly
+// what a reopen would. Returned values alias p. For every op it appends to
+// voffs where the op's value starts, as base plus its offset within p — the
+// decoder's half of what lets applyOps keep a large value as a reference
+// (the entry is meaningless for deletes and epoch stamps, which have none).
+func decodePayloadOps(p []byte, base int, voffs []int) ([]Op, []int, error) {
 	if len(p) < 5 {
-		return nil, fmt.Errorf("%w: short payload", ErrCorrupt)
+		return nil, nil, fmt.Errorf("%w: short payload", ErrCorrupt)
 	}
 	switch p[0] {
 	case opPut, opDelete:
 		keyLen := binary.LittleEndian.Uint32(p[1:5])
-		if int(keyLen) > len(p)-5 {
-			return nil, fmt.Errorf("%w: key length overruns payload", ErrCorrupt)
+		if int64(keyLen) > int64(len(p)-5) {
+			return nil, nil, fmt.Errorf("%w: key length overruns payload", ErrCorrupt)
 		}
 		key := string(p[5 : 5+keyLen])
+		voffs = append(voffs, base+5+int(keyLen))
 		if p[0] == opDelete {
-			return []Op{{Key: key, Delete: true}}, nil
+			return []Op{{Key: key, Delete: true}}, voffs, nil
 		}
-		return []Op{{Key: key, Value: p[5+keyLen:]}}, nil
+		return []Op{{Key: key, Value: p[5+keyLen:]}}, voffs, nil
 	case opBatch:
-		return decodeBatch(p)
+		return decodeBatch(p, base, voffs)
 	case opEpoch:
 		if len(p) != 1+8 {
-			return nil, fmt.Errorf("%w: epoch record length %d", ErrCorrupt, len(p))
+			return nil, nil, fmt.Errorf("%w: epoch record length %d", ErrCorrupt, len(p))
 		}
-		// The sentinel op round-trips the stamp through ApplyPage's applyOps,
-		// which diverts it to the epoch register; index layers above ignore
-		// the NUL-prefixed key.
-		return []Op{{Key: epochKey, Value: p[1:9]}}, nil
+		// The sentinel op round-trips the stamp through applyOps, which
+		// diverts it to the epoch register; index layers above ignore the
+		// NUL-prefixed key.
+		return []Op{{Key: epochKey, Value: p[1:9]}}, append(voffs, 0), nil
 	default:
-		return nil, fmt.Errorf("%w: unknown op %d", ErrCorrupt, p[0])
+		return nil, nil, fmt.Errorf("%w: unknown op %d", ErrCorrupt, p[0])
 	}
 }
 
@@ -205,7 +216,9 @@ func decodePayloadOps(p []byte) ([]Op, error) {
 // decoding) before anything durable happens, so a corrupt ship leaves the
 // follower untouched. Like commitBatch, the fsync (when the store is
 // durable) gates the apply, and a failed append rolls the tail back to the
-// last good boundary.
+// last good boundary. Large values become references into this store's own
+// log: it is a byte prefix of the leader's, so the offsets coincide, but
+// nothing relies on that.
 func (s *Store) ApplyPage(page []byte) error {
 	if s.closed.Load() {
 		return ErrClosed
@@ -213,15 +226,15 @@ func (s *Store) ApplyPage(page []byte) error {
 	if len(page) == 0 {
 		return nil
 	}
-	recs, err := DecodePage(page)
+	recs, voffs, err := decodePage(page)
 	if err != nil {
 		return err
 	}
-	if s.f == nil {
+	if s.path == "" {
 		// In-memory follower: no log of its own, just the applied state.
 		s.mu.Lock()
 		for _, ops := range recs {
-			s.applyOps(ops)
+			s.applyOps(ops, 0, nil)
 		}
 		s.mu.Unlock()
 		s.notifyCommit()
@@ -242,13 +255,15 @@ func (s *Store) ApplyPage(page []byte) error {
 			return fmt.Errorf("kvstore: replicate fsync: %w", err)
 		}
 	}
+	base := s.size
 	s.size += int64(len(page))
 	if s.compacting {
 		s.delta = append(s.delta, page...)
 	}
 	s.mu.Lock()
 	for _, ops := range recs {
-		s.applyOps(ops)
+		s.applyOps(ops, base, voffs[:len(ops)])
+		voffs = voffs[len(ops):]
 	}
 	s.mu.Unlock()
 	s.notifyCommit()

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -52,7 +53,19 @@ var (
 	mSearchDurs = func(kind string) *obs.Histogram {
 		return obs.Default().Histogram("lake_search_duration_seconds", nil, obs.L("kind", kind))
 	}
+	// Why a reopen re-embedded an open-weights model instead of reading its
+	// vec record: there is none (pre-vec lake), it was written under other
+	// embedding parameters, or it is damaged.
+	mVecFallbacks = map[string]*obs.Counter{
+		vecMissing:   vecFallbackCounter(vecMissing),
+		vecNamespace: vecFallbackCounter(vecNamespace),
+		vecCorrupt:   vecFallbackCounter(vecCorrupt),
+	}
 )
+
+func vecFallbackCounter(reason string) *obs.Counter {
+	return obs.Default().Counter("lake_vec_record_fallbacks_total", obs.L("reason", reason))
+}
 
 // Config configures a lake.
 type Config struct {
@@ -383,16 +396,26 @@ func (l *Lake) quantConfig() index.QuantConfig {
 type hydrated struct {
 	bvec, wvec tensor.Vector // content-index vectors; nil = space not indexable
 	m          *model.Model  // non-nil when the fallback decode ran
+	miss       string        // why the fallback ran (a vec* reason); "" when it did not
+	missErr    error         // what was wrong with the record, for vecCorrupt
 	err        error         // hard failure: Open must not succeed
 }
+
+// hydrateWindow is how many records rehydrate decodes ahead of the serial
+// commit: the window's vectors are the only ones Open holds outside the
+// indexes, so the transient heap of a reopen is this many vec records (a few
+// MB), not the lake's worth.
+const hydrateWindow = 1024
 
 // rehydrate rebuilds the in-memory indexes from the durable registry.
 //
 // The per-model work — weights-blob checksum verification plus either a
 // persisted-vector decode (the fast path) or a full model decode + embed
-// (the fallback) — runs on a bounded worker pool; the index inserts then
-// happen serially in record order, so the resulting indexes are identical to
-// a serial loop no matter how the workers interleaved.
+// (the fallback) — runs on a bounded worker pool, a window of records at a
+// time; each window's index inserts then happen serially in record order, so
+// the resulting indexes are identical to a serial loop no matter how the
+// workers interleaved, and the window's vectors are dropped before the next
+// is decoded.
 //
 // The fast path reads the vec/<id> record written in the same atomic batch
 // as the registration: when its namespace matches the lake's embedding
@@ -403,25 +426,11 @@ type hydrated struct {
 // the full integrity sweep: blob writes are atomic and every later Get
 // checksum-verifies, so fast Open stays O(records) instead of O(weight
 // bytes). Records without usable vectors (pre-vec lakes, changed
-// embedding config) read, verify, decode, and re-embed.
+// embedding config, a damaged record) read, verify, decode, and re-embed.
 func (l *Lake) rehydrate() error {
 	recs, err := l.reg.List()
 	if err != nil {
 		return fmt.Errorf("lake: rehydrate: %w", err)
-	}
-	if len(recs) == 0 {
-		// Even an empty disk-resident lake adopts (possibly empty) on-disk
-		// segments so that post-open ingests land in the spilling disk tier
-		// instead of accumulating full-precision rows in RAM forever.
-		if l.cfg.DiskResidentVectors {
-			if err := l.adoptDiskIndex(l.behaviorCS, "behavior", nil, nil); err != nil {
-				return err
-			}
-			if err := l.adoptDiskIndex(l.weightCS, "weights", nil, nil); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 	// Adopt published keyword postings segments before queuing the keyword
 	// backlog: a segment whose covered documents all still match their
@@ -430,7 +439,7 @@ func (l *Lake) rehydrate() error {
 	// queue. A stale or damaged segment file is rejected whole and its
 	// documents rebuild from cards like any other reopen.
 	kwCovered := map[string]bool{}
-	if l.cfg.DiskResidentPostings {
+	if l.cfg.DiskResidentPostings && len(recs) > 0 {
 		for _, id := range l.keyword.AdoptSegments(func(docID string, crc uint64) bool {
 			c, err := l.reg.Card(docID)
 			return err == nil && search.TextCRC(c.Text()) == crc
@@ -444,115 +453,191 @@ func (l *Lake) rehydrate() error {
 	// Open is not concurrent with ingest on the same Lake, so it cannot
 	// miss a registered blob.
 	var known map[blob.ID]struct{}
-	if lister, ok := l.blobs.(interface{ IDs() []blob.ID }); ok && !l.cfg.VerifyBlobsOnOpen {
+	if lister, ok := l.blobs.(interface{ IDs() []blob.ID }); ok && !l.cfg.VerifyBlobsOnOpen && len(recs) > 0 {
 		ids := lister.IDs()
 		known = make(map[blob.ID]struct{}, len(ids))
 		for _, id := range ids {
 			known[id] = struct{}{}
 		}
 	}
-	res := make([]hydrated, len(recs))
-	runParallel(len(recs), l.cfg.IngestParallelism, func(i int) {
-		res[i] = l.hydrateOne(recs[i], known)
-	})
-	// Pre-size the content indexes: the exact add counts and dimensions are
-	// known, so the packed flat storage allocates once instead of doubling
-	// its way up through a few thousand appends. Disk-resident lakes skip
-	// this — their rehydrated vectors go into on-disk segments, not the
-	// (about to be replaced) in-RAM indexes.
+	// Where a rehydrated vector goes. A disk-resident lake's belong in the
+	// on-disk segments, not the in-RAM indexes: per space it keeps only
+	// which records have one and a running checksum of them, which the
+	// adoption below compares with the segment a previous run left. An
+	// in-RAM index takes the vector itself, pre-sized when the first one
+	// shows its dimension — every open-weights record is about to add one
+	// (bar the rare model a space cannot embed), so the packed flat storage
+	// allocates once instead of doubling its way up through the appends.
 	disk := l.cfg.DiskResidentVectors
-	if !disk {
-		var nb, nw, db, dw int
-		for i := range res {
-			if res[i].bvec != nil {
-				nb, db = nb+1, len(res[i].bvec)
-			}
-			if res[i].wvec != nil {
-				nw, dw = nw+1, len(res[i].wvec)
-			}
+	var bSeg, wSeg diskSpace
+	openWeights := 0
+	for _, rec := range recs {
+		if rec.Weights != "" {
+			openWeights++
 		}
-		l.behaviorCS.Reserve(nb, db)
-		l.weightCS.Reserve(nw, dw)
 	}
-	// Commit in record order. Keyword entries (for every carded model,
-	// closed-weights included) are deferred to the first keyword search;
-	// content vectors insert now, only where a space could embed the model.
-	// In disk mode the vectors are collected in the same record order and
-	// handed to the segment adoption below instead of inserted row by row.
-	var bIDs, wIDs []string
-	var bVecs, wVecs []tensor.Vector
-	for i, rec := range recs {
-		if !kwCovered[rec.ID] {
-			l.kwPending = append(l.kwPending, rec.ID)
-			l.kwReady = false
+	place := func(cs *search.ContentSearcher, seg *diskSpace, rec int, vec tensor.Vector) bool {
+		if disk {
+			seg.add(rec, recs[rec].ID, vec)
+			return true
 		}
-		if res[i].err != nil {
-			return res[i].err
+		if cs.Len() == 0 {
+			cs.Reserve(openWeights, len(vec))
 		}
-		if res[i].m != nil {
-			l.modelCache[rec.ID] = res[i].m
-		}
-		if res[i].bvec != nil {
-			if disk {
-				bIDs = append(bIDs, rec.ID)
-				bVecs = append(bVecs, res[i].bvec)
-				l.taskPending = append(l.taskPending, rec.ID)
-				l.taskReady = false
-			} else if err := l.behaviorCS.AddVector(rec.ID, res[i].bvec); err == nil {
+		return cs.AddVector(recs[rec].ID, vec) == nil
+	}
+	var corrupt int
+	var firstCorrupt string
+	res := make([]hydrated, min(hydrateWindow, len(recs)))
+	for lo := 0; lo < len(recs); lo += len(res) {
+		win := recs[lo:min(lo+len(res), len(recs))]
+		runParallel(len(win), l.cfg.IngestParallelism, func(i int) {
+			res[i] = l.hydrateOne(win[i], known)
+		})
+		// Commit in record order. Keyword entries (for every carded model,
+		// closed-weights included) are deferred to the first keyword
+		// search; content vectors insert now, only where a space could
+		// embed the model.
+		for i, rec := range win {
+			h := res[i]
+			res[i] = hydrated{}
+			if !kwCovered[rec.ID] {
+				l.kwPending = append(l.kwPending, rec.ID)
+				l.kwReady = false
+			}
+			if h.err != nil {
+				return h.err
+			}
+			if h.miss != "" {
+				mVecFallbacks[h.miss].Inc()
+				if h.miss == vecCorrupt {
+					if corrupt++; corrupt == 1 {
+						firstCorrupt = fmt.Sprintf("%s: %v", rec.ID, h.missErr)
+					}
+				}
+			}
+			if h.m != nil {
+				l.modelCache[rec.ID] = h.m
+			}
+			if h.bvec != nil && place(l.behaviorCS, &bSeg, lo+i, h.bvec) {
 				// Defer handle loading: the task roster materializes on
-				// first SearchTask instead of costing every reopen a
-				// model decode per behaviour-indexed record.
+				// first SearchTask instead of costing every reopen a model
+				// decode per behaviour-indexed record.
 				l.taskPending = append(l.taskPending, rec.ID)
 				l.taskReady = false
 			}
-		}
-		if res[i].wvec != nil {
-			if disk {
-				wIDs = append(wIDs, rec.ID)
-				wVecs = append(wVecs, res[i].wvec)
-			} else {
-				_ = l.weightCS.AddVector(rec.ID, res[i].wvec)
+			if h.wvec != nil {
+				place(l.weightCS, &wSeg, lo+i, h.wvec)
 			}
 		}
+	}
+	if corrupt > 0 {
+		// Once per Open: a damaged vec record costs a re-embed at every
+		// reopen until the model is re-ingested, and nothing else says so.
+		log.Printf("lake: %d damaged vec record(s) ignored on open, model(s) re-embedded from weights; first: %s",
+			corrupt, firstCorrupt)
 	}
 	if disk {
-		if err := l.adoptDiskIndex(l.behaviorCS, "behavior", bIDs, bVecs); err != nil {
+		// Even an empty disk-resident lake adopts (possibly empty) on-disk
+		// segments so that post-open ingests land in the spilling disk tier
+		// instead of accumulating full-precision rows in RAM forever. Only a
+		// rebuild needs the vectors again, and re-reads each from its record.
+		again := func(seg *diskSpace, i int) hydrated { return l.hydrateOne(recs[seg.recs[i]], known) }
+		if err := l.adoptDiskIndex(l.behaviorCS, "behavior", &bSeg, func(i int) []float64 { return again(&bSeg, i).bvec }); err != nil {
 			return err
 		}
-		if err := l.adoptDiskIndex(l.weightCS, "weights", wIDs, wVecs); err != nil {
+		if err := l.adoptDiskIndex(l.weightCS, "weights", &wSeg, func(i int) []float64 { return again(&wSeg, i).wvec }); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// diskSpace is what rehydrate keeps of one content space of a disk-resident
+// lake instead of its vectors: the ids in segment-row order, which record
+// each row came from, and the checksums a segment of exactly these rows
+// carries.
+type diskSpace struct {
+	ids  []string
+	recs []int // index into the rehydrated record list
+	sum  index.SegmentChecksum
+}
+
+func (d *diskSpace) add(rec int, id string, vec tensor.Vector) {
+	d.ids = append(d.ids, id)
+	d.recs = append(d.recs, rec)
+	d.sum.Add(id, vec)
+}
+
 // adoptDiskIndex points a content searcher at the on-disk vector segment for
 // its space. A segment left by a previous run is reused only when its stored
 // checksums and row count prove it holds exactly the rehydrated vectors —
 // anything else (torn write, stale contents, changed embedding config) is
-// discarded and rebuilt from the vectors just decoded out of the durable
-// vec records, so a corrupt segment can never be served. Spaces with no
-// vectors adopt an empty segment: post-open ingests then land in the
+// discarded and rebuilt, so a corrupt segment can never be served. Only the
+// rebuild needs the vectors again: row(i) re-reads segment row i's, from the
+// durable vec record, as the build streams the rows out in order. Spaces
+// with no vectors adopt an empty segment: post-open ingests then land in the
 // segment's bounded, self-spilling in-RAM tail rather than a pure in-RAM
 // index.
-func (l *Lake) adoptDiskIndex(cs *search.ContentSearcher, space string, ids []string, vecs []tensor.Vector) error {
+func (l *Lake) adoptDiskIndex(cs *search.ContentSearcher, space string, want *diskSpace, row func(i int) []float64) error {
 	path := filepath.Join(l.cfg.Dir, "vectors", space+".seg")
-	row := func(i int) []float64 { return vecs[i] }
-	wantIDs, wantData := index.SegmentChecksums(ids, row)
+	wantIDs, wantData := want.sum.Sums()
 	if df, err := index.OpenDiskFlat(path, l.cfg.FS, index.Cosine, l.quantConfig()); err == nil {
 		gotIDs, gotData := df.Checksums()
-		if df.SegmentLen() == len(ids) && gotIDs == wantIDs && gotData == wantData {
-			cs.AdoptIndex(df, ids)
+		if df.SegmentLen() == len(want.ids) && gotIDs == wantIDs && gotData == wantData {
+			cs.AdoptIndex(df, want.ids)
 			return nil
 		}
 		df.Close()
 	}
-	df, err := index.BuildDiskFlat(path, l.cfg.FS, index.Cosine, l.quantConfig(), ids, row)
+	df, err := index.BuildDiskFlat(path, l.cfg.FS, index.Cosine, l.quantConfig(), want.ids, row)
 	if err != nil {
 		return fmt.Errorf("lake: build %s vector segment: %w", space, err)
 	}
-	cs.AdoptIndex(df, ids)
+	cs.AdoptIndex(df, want.ids)
 	return nil
+}
+
+// Reasons hydrateOne fell back to decode-and-embed, as the reason label of
+// lake_vec_record_fallbacks_total.
+const (
+	vecMissing   = "missing"
+	vecNamespace = "namespace"
+	vecCorrupt   = "corrupt"
+)
+
+// storedVecs reads a model's vectors from its vec/<id> record. A non-empty
+// miss says why there are none to use: no record, a record written under
+// other embedding parameters, or a record that fails its checksum (the
+// store's ErrCorrupt for a bit-rotted value) or does not decode — with err
+// saying what was wrong with it.
+func (l *Lake) storedVecs(id string) (bvec, wvec tensor.Vector, miss string, err error) {
+	b, err := l.kv.Get(vecKey(id))
+	if errors.Is(err, kvstore.ErrNotFound) {
+		return nil, nil, vecMissing, nil
+	}
+	var ns string
+	var vecs []spaceVec
+	if err == nil {
+		ns, vecs, err = decodeVecRecord(b)
+	}
+	if err != nil {
+		return nil, nil, vecCorrupt, err
+	}
+	if ns == l.vecNS {
+		for _, sv := range vecs {
+			switch sv.Space {
+			case l.behaviorCS.EmbedderName():
+				bvec = sv.Vec
+			case l.weightCS.EmbedderName():
+				wvec = sv.Vec
+			}
+		}
+	}
+	if bvec == nil && wvec == nil {
+		return nil, nil, vecNamespace, nil
+	}
+	return bvec, wvec, "", nil
 }
 
 // hydrateOne performs the parallelizable part of rehydrating one record.
@@ -562,48 +647,37 @@ func (l *Lake) hydrateOne(rec *registry.Record, known map[blob.ID]struct{}) hydr
 	if rec.Weights == "" {
 		return hydrated{} // closed-weights model: behaviour is gone across restarts
 	}
-	if b, err := l.kv.Get(vecKey(rec.ID)); err == nil {
-		if ns, vecs, err := decodeVecRecord(b); err == nil && ns == l.vecNS {
-			var h hydrated
-			for _, sv := range vecs {
-				switch sv.Space {
-				case l.behaviorCS.EmbedderName():
-					h.bvec = sv.Vec
-				case l.weightCS.EmbedderName():
-					h.wvec = sv.Vec
-				}
+	bvec, wvec, miss, missErr := l.storedVecs(rec.ID)
+	if miss == "" {
+		// A registered blob that vanished — the crash-consistency
+		// hazard a reopen must catch — fails Open loudly. Content
+		// verification is deferred to the first read unless
+		// VerifyBlobsOnOpen asks for the full integrity sweep:
+		// blob writes are atomic (temp + rename), so a present
+		// blob was written whole, and every Get checksum-verifies
+		// before returning. Skipping the full read keeps fast
+		// Open O(records), not O(weight bytes).
+		if l.cfg.VerifyBlobsOnOpen {
+			if _, err := l.blobs.Get(rec.Weights); err != nil {
+				return hydrated{err: fmt.Errorf("lake: rehydrate %s: %w", rec.ID, err)}
 			}
-			if h.bvec != nil || h.wvec != nil {
-				// A registered blob that vanished — the crash-consistency
-				// hazard a reopen must catch — fails Open loudly. Content
-				// verification is deferred to the first read unless
-				// VerifyBlobsOnOpen asks for the full integrity sweep:
-				// blob writes are atomic (temp + rename), so a present
-				// blob was written whole, and every Get checksum-verifies
-				// before returning. Skipping the full read keeps fast
-				// Open O(records), not O(weight bytes).
-				if l.cfg.VerifyBlobsOnOpen {
-					if _, err := l.blobs.Get(rec.Weights); err != nil {
-						return hydrated{err: fmt.Errorf("lake: rehydrate %s: %w", rec.ID, err)}
-					}
-				} else {
-					exists := false
-					if known != nil {
-						_, exists = known[rec.Weights]
-					} else {
-						exists = l.blobs.Has(rec.Weights)
-					}
-					if !exists {
-						return hydrated{err: fmt.Errorf("lake: rehydrate %s: %w: %s",
-							rec.ID, blob.ErrNotFound, rec.Weights)}
-					}
-				}
-				return h
+		} else {
+			exists := false
+			if known != nil {
+				_, exists = known[rec.Weights]
+			} else {
+				exists = l.blobs.Has(rec.Weights)
+			}
+			if !exists {
+				return hydrated{err: fmt.Errorf("lake: rehydrate %s: %w: %s",
+					rec.ID, blob.ErrNotFound, rec.Weights)}
 			}
 		}
+		return hydrated{bvec: bvec, wvec: wvec}
 	}
-	// Fallback (pre-vec lakes, changed embedding config): read + verify the
-	// blob, decode the model, and embed it the way ingest does.
+	// Fallback (pre-vec lakes, changed embedding config, damaged record):
+	// read + verify the blob, decode the model, and embed it the way ingest
+	// does.
 	raw, err := l.blobs.Get(rec.Weights)
 	if err != nil {
 		return hydrated{err: fmt.Errorf("lake: rehydrate %s: %w", rec.ID, err)}
@@ -614,7 +688,7 @@ func (l *Lake) hydrateOne(rec *registry.Record, known map[blob.ID]struct{}) hydr
 	}
 	m := &model.Model{ID: rec.ID, Name: rec.Name, Net: net, Hist: rec.Hist}
 	e := l.embedItem(m)
-	return hydrated{m: m, bvec: e.bvec, wvec: e.wvec}
+	return hydrated{m: m, bvec: e.bvec, wvec: e.wvec, miss: miss, missErr: missErr}
 }
 
 // runParallel runs fn(0..n-1) across a bounded worker pool. parallelism <= 0
@@ -800,7 +874,10 @@ func (l *Lake) Count() int { return l.reg.Count() }
 type TierMemStats struct {
 	VectorBytes   int64 `json:"vector_bytes"`   // both content-space ANN indexes
 	PostingsBytes int64 `json:"postings_bytes"` // keyword index, map tier + segments
-	KVBytes       int64 `json:"kv_bytes"`       // metadata store's live key/value map
+	KVBytes       int64 `json:"kv_bytes"`       // metadata store's resident state: keys, inline values, references
+	// Value bytes the metadata store does not hold: left in its log and read
+	// back by reference (vec records, chiefly). Disk, not heap.
+	KVReferencedBytes int64 `json:"kv_referenced_bytes"`
 	// Where the keyword index's documents sit: the map tier is the write
 	// buffer, segments are the read tier.
 	KeywordMapDocs     int `json:"keyword_map_docs"`
@@ -813,10 +890,12 @@ type TierMemStats struct {
 func (l *Lake) TierMemStats() TierMemStats {
 	l.ensureKeyword()
 	mapDocs, segDocs := l.keyword.TierDocs()
+	kvResident, kvReferenced := l.kv.ApproxMemBytes()
 	return TierMemStats{
 		VectorBytes:        l.behaviorCS.MemBytes() + l.weightCS.MemBytes(),
 		PostingsBytes:      l.keyword.MemBytes(),
-		KVBytes:            l.kv.ApproxMemBytes(),
+		KVBytes:            kvResident,
+		KVReferencedBytes:  kvReferenced,
 		KeywordMapDocs:     mapDocs,
 		KeywordSegmentDocs: segDocs,
 	}

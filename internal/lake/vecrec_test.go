@@ -1,10 +1,19 @@
 package lake
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"log"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"modellake/internal/kvstore"
+	"modellake/internal/obs"
+	"modellake/internal/registry"
 	"modellake/internal/search"
 	"modellake/internal/tensor"
 )
@@ -251,5 +260,243 @@ func TestRehydrateNamespaceMismatchFallsBack(t *testing.T) {
 				t.Fatalf("%s search for %s: fallback rehydration differs from a native lake at the same config:\n native   %v\n fallback %v", space, id, want, got)
 			}
 		}
+	}
+}
+
+// logValueReads reads kvstore_value_reads_total{source="log"}: how many values
+// the metadata store has fetched from its log by reference.
+func logValueReads() uint64 {
+	return obs.Default().Counter("kvstore_value_reads_total", obs.L("source", "log")).Value()
+}
+
+// TestDamagedVecRecordsReEmbed: a vec record that is gone, or does not decode,
+// costs that one model a re-embed at Open — counted by reason, and the damaged
+// one named in the log once per Open — and the reopened lake answers exactly
+// like the one that embedded at ingest. Both vector residencies: the
+// disk-resident lake must also put the re-embedded rows into its segment.
+func TestDamagedVecRecordsReEmbed(t *testing.T) {
+	for _, disk := range []bool{false, true} {
+		t.Run(fmt.Sprintf("disk=%v", disk), func(t *testing.T) {
+			pop := population(t, 73)
+			dir := t.TempDir()
+			cfg := Config{Dir: dir, Seed: 12, DiskResidentVectors: disk}
+			l, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := fill(t, l, pop)
+			want := map[string]string{}
+			for _, space := range []string{"behavior", "weights"} {
+				for _, id := range ids {
+					hits, err := l.SearchByModel(id, space, 5)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want[space+"/"+id] = fmt.Sprint(hits)
+				}
+			}
+			garbage := bytes.Repeat([]byte{0xfe}, 3000)
+			if err := l.kv.Put(vecKey(ids[2]), garbage); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.kv.Delete(vecKey(ids[5])); err != nil {
+				t.Fatal(err)
+			}
+			l.Close()
+
+			var logged bytes.Buffer
+			log.SetOutput(&logged)
+			defer log.SetOutput(os.Stderr)
+			corrupt0, missing0 := mVecFallbacks[vecCorrupt].Value(), mVecFallbacks[vecMissing].Value()
+			re, err := Open(cfg)
+			if err != nil {
+				t.Fatalf("reopen over damaged vec records: %v", err)
+			}
+			defer re.Close()
+			if c, m := mVecFallbacks[vecCorrupt].Value()-corrupt0, mVecFallbacks[vecMissing].Value()-missing0; c != 1 || m != 1 {
+				t.Fatalf("fallbacks counted: %d corrupt, %d missing; want 1 and 1", c, m)
+			}
+			if out := logged.String(); strings.Count(out, "\n") != 1 || !strings.Contains(out, ids[2]) {
+				t.Fatalf("want one log line naming %s, got %q", ids[2], out)
+			}
+			for _, space := range []string{"behavior", "weights"} {
+				for _, id := range ids {
+					hits, err := re.SearchByModel(id, space, 5)
+					if err != nil {
+						t.Fatalf("%s/%s: %v", space, id, err)
+					}
+					if got := fmt.Sprint(hits); got != want[space+"/"+id] {
+						t.Fatalf("%s search for %s after re-embedding two models:\n want %s\n got  %s", space, id, want[space+"/"+id], got)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestBitRottedVecRecordIsNotIndexed: one byte flipped inside a vec record in
+// the live log. The metadata store keeps vec records by reference, so the
+// record is read back from that log at rehydration — and must come back as
+// ErrCorrupt, sending the model down the re-embed fallback with the vectors
+// it had, never as the damaged floats.
+func TestBitRottedVecRecordIsNotIndexed(t *testing.T) {
+	pop := population(t, 74)
+	dir := t.TempDir()
+	l, err := Open(Config{Dir: dir, Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	ids := fill(t, l, pop)
+	id := ids[3]
+	stored, err := l.kv.Get(vecKey(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, referenced := l.kv.ApproxMemBytes(); referenced == 0 {
+		t.Fatal("vec records are not stored by reference: nothing to rot")
+	}
+	_, vecs, err := decodeVecRecord(stored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logPath := filepath.Join(dir, "lake.log")
+	raw, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(raw, stored)
+	if at < 0 {
+		t.Fatal("vec record not found in lake.log")
+	}
+	f, err := os.OpenFile(logPath, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The low mantissa byte of one float: a value that still decodes.
+	flipAt := at + len(stored) - 8*5
+	if _, err := f.WriteAt([]byte{raw[flipAt] ^ 1}, int64(flipAt)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	rec, err := l.reg.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := l.hydrateOne(rec, nil)
+	if h.err != nil {
+		t.Fatalf("a damaged vec record failed rehydration outright: %v", h.err)
+	}
+	if h.miss != vecCorrupt || !errors.Is(h.missErr, kvstore.ErrCorrupt) {
+		t.Fatalf("fallback reason %q (%v), want %q with ErrCorrupt", h.miss, h.missErr, vecCorrupt)
+	}
+	for _, sv := range vecs {
+		got := h.bvec
+		if sv.Space == l.weightCS.EmbedderName() {
+			got = h.wvec
+		}
+		if len(got) != len(sv.Vec) {
+			t.Fatalf("%s: re-embedded dim %d, stored %d", sv.Space, len(got), len(sv.Vec))
+		}
+		for j := range got {
+			if math.Float64bits(got[j]) != math.Float64bits(sv.Vec[j]) {
+				t.Fatalf("%s[%d]: re-embedded %v, originally %v", sv.Space, j, got[j], sv.Vec[j])
+			}
+		}
+	}
+}
+
+// TestAdoptOnlyReopenReadsEachVecRecordOnce: a disk-resident lake whose
+// segments match its vec records reopens with one referenced read per
+// open-weights model — the running checksum — and holds no vector while it
+// does. Only a reopen that has to rebuild a segment reads them again.
+func TestAdoptOnlyReopenReadsEachVecRecordOnce(t *testing.T) {
+	pop := population(t, 75)
+	dir := t.TempDir()
+	cfg := Config{Dir: dir, Seed: 14, DiskResidentVectors: true}
+	l, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(t, l, pop)
+	l.Close()
+	n := uint64(len(pop.Members))
+
+	before := logValueReads()
+	if l, err = Open(cfg); err != nil { // segments hold no rows yet: rebuild
+		t.Fatal(err)
+	}
+	l.Close()
+	// One pass for the checksum, one per space for the build, and the build's
+	// extra look at row 0 for the dimension.
+	if got := logValueReads() - before; got != 3*n+2 {
+		t.Fatalf("rebuilding reopen read %d referenced values for %d models, want %d", got, n, 3*n+2)
+	}
+
+	before = logValueReads()
+	if l, err = Open(cfg); err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if got := logValueReads() - before; got != n {
+		t.Fatalf("adopt-only reopen read %d referenced values for %d models, want one each", got, n)
+	}
+	if l.behaviorCS.Len() != int(n) || l.weightCS.Len() != int(n) {
+		t.Fatalf("adopted %d behaviour and %d weight rows, want %d", l.behaviorCS.Len(), l.weightCS.Len(), n)
+	}
+}
+
+// TestServingTouchesNoReference: vec records are the only values a lake
+// writes past the metadata store's reference threshold, and nothing but Open
+// reads them — every request class and an ingest run with the referenced-read
+// counter standing still, so a request never waits on a pread of lake.log.
+func TestServingTouchesNoReference(t *testing.T) {
+	pop := population(t, 76)
+	dir := t.TempDir()
+	l, err := Open(Config{Dir: dir, Seed: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := fill(t, l, pop)
+	l.Close()
+	if l, err = Open(Config{Dir: dir, Seed: 15}); err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if _, referenced := l.kv.ApproxMemBytes(); referenced == 0 {
+		t.Fatal("vec records are not stored by reference: the test proves nothing")
+	}
+
+	before := logValueReads()
+	for _, id := range ids {
+		if _, err := l.Record(id); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Card(id); err != nil {
+			t.Fatal(err)
+		}
+		for _, space := range []string{"behavior", "weights"} {
+			if _, err := l.SearchByModel(id, space, 5); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	l.SearchKeyword("legal summarization", 5)
+	if _, err := l.Query("FIND MODELS WHERE DOMAIN = 'legal' LIMIT 5"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.VersionGraph(); err != nil {
+		t.Fatal(err)
+	}
+	m := pop.Members[0]
+	if _, err := l.Ingest(m.Model, m.Card, registry.RegisterOptions{Name: "one-more", Version: "1"}); err != nil {
+		t.Fatal(err)
+	}
+	if l.Count() != len(ids)+1 {
+		t.Fatalf("Count = %d", l.Count())
+	}
+	if got := logValueReads() - before; got != 0 {
+		t.Fatalf("serving read %d values from the log by reference, want none", got)
 	}
 }

@@ -371,7 +371,7 @@ func (r *Registry) List() ([]*Record, error) {
 }
 
 // Count returns the number of registered models.
-func (r *Registry) Count() int { return len(r.kv.Keys("model/")) }
+func (r *Registry) Count() int { return r.kv.Count("model/") }
 
 // Delete removes a model, its card, and its name-index entry. Weights blobs
 // are left in place (they may be shared via content addressing).

@@ -21,8 +21,6 @@ type IngestBenchResult struct {
 	ParallelNs    int64   `json:"parallel_ns"`
 	Speedup       float64 `json:"speedup"`
 	IdenticalTopK bool    `json:"identical_topk"`
-	CacheHits     uint64  `json:"cache_hits"`
-	CacheMisses   uint64  `json:"cache_misses"`
 }
 
 // RunE12 is the experiment-index entry point; it benchmarks at the machine's
@@ -46,11 +44,10 @@ func RunE12Ingest(seed uint64, parallelism int) (*Table, *IngestBenchResult, err
 		parallelism = runtime.GOMAXPROCS(0)
 	}
 	t := &Table{
-		ID:    "E12",
-		Title: "parallel ingest pipeline vs serial loop (fresh lake per run)",
-		Columns: []string{"workers", "ingest", "models/s", "speedup",
-			"identical top-k", "cache hits/misses"},
-		Notes: "expected shape: near-linear speedup until workers ~ cores; top-k always identical",
+		ID:      "E12",
+		Title:   "parallel ingest pipeline vs serial loop (fresh lake per run)",
+		Columns: []string{"workers", "ingest", "models/s", "speedup", "identical top-k"},
+		Notes:   "expected shape: near-linear speedup until workers ~ cores; top-k always identical",
 	}
 
 	spec := lakegen.DefaultSpec(seed)
@@ -83,7 +80,7 @@ func RunE12Ingest(seed uint64, parallelism int) (*Table, *IngestBenchResult, err
 	}
 	serialNs := time.Since(serialStart)
 	t.AddRow("serial", serialNs.Round(time.Millisecond).String(),
-		f2(float64(n)/serialNs.Seconds()), "1.00x", "-", "-")
+		f2(float64(n)/serialNs.Seconds()), "1.00x", "-")
 
 	items := make([]lake.IngestItem, n)
 	for i, m := range pop.Members {
@@ -136,13 +133,12 @@ func RunE12Ingest(seed uint64, parallelism int) (*Table, *IngestBenchResult, err
 				}
 			}
 		}
-		hits, misses := lk.EmbedCacheStats()
 		lk.Close()
 
 		speedup := float64(serialNs) / float64(elapsed)
 		t.AddRow(fmt.Sprint(p), elapsed.Round(time.Millisecond).String(),
 			f2(float64(n)/elapsed.Seconds()), fmt.Sprintf("%.2fx", speedup),
-			fmt.Sprint(identical), fmt.Sprintf("%d/%d", hits, misses))
+			fmt.Sprint(identical))
 		if p == parallelism {
 			result = &IngestBenchResult{
 				NModels:       n,
@@ -151,8 +147,6 @@ func RunE12Ingest(seed uint64, parallelism int) (*Table, *IngestBenchResult, err
 				ParallelNs:    elapsed.Nanoseconds(),
 				Speedup:       speedup,
 				IdenticalTopK: identical,
-				CacheHits:     hits,
-				CacheMisses:   misses,
 			}
 		}
 	}

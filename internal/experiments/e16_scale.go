@@ -69,9 +69,13 @@ type ScaleStream struct {
 	// Max HeapAlloc sampled while that Open ran, from a collected heap: what
 	// a restart holds at its worst moment, where the ingest peak above is
 	// what a load does.
-	ReopenPeakHeapBytes uint64  `json:"reopen_peak_heap_bytes"`
-	SearchQPS           float64 `json:"search_qps"`
-	KeywordQPS          float64 `json:"keyword_qps"` // card search against disk-resident postings
+	ReopenPeakHeapBytes uint64 `json:"reopen_peak_heap_bytes"`
+	// Collected-heap growth across the related-query loop: what serving
+	// reads leave resident. Bounded by the query cache, not by how many
+	// models were queried.
+	ServeHeapGrowthBytes int64   `json:"serve_heap_growth_bytes"`
+	SearchQPS            float64 `json:"search_qps"`
+	KeywordQPS           float64 `json:"keyword_qps"` // card search against disk-resident postings
 
 	// Per-tier index heap on the reopened lake, from the lake's own
 	// accounting: with disk-resident vectors AND postings, both search
@@ -151,8 +155,9 @@ func RunE16Scale(seed uint64, sizes []int, queries, streamModels int) (*Table, *
 	res.Stream = stream
 	const mib = 1 << 20
 	t.AddRow("stream+disk", fmt.Sprint(stream.Models), f2(stream.SearchQPS), "-", "-", "-",
-		fmt.Sprintf("peak heap %.0f MiB (under 2 GiB: %v), %.0f MiB across reopen; tiers vec %.1f / postings %.1f / kv %.1f MiB (+ %.1f in the log by reference)",
+		fmt.Sprintf("peak heap %.0f MiB (under 2 GiB: %v), %.0f MiB across reopen, %+.2f MiB across the related queries; tiers vec %.1f / postings %.1f / kv %.1f MiB (+ %.1f in the log by reference)",
 			float64(stream.PeakHeapBytes)/mib, stream.Under2GB, float64(stream.ReopenPeakHeapBytes)/mib,
+			float64(stream.ServeHeapGrowthBytes)/mib,
 			float64(stream.VectorHeapBytes)/mib, float64(stream.PostingsHeapBytes)/mib,
 			float64(stream.KVHeapBytes)/mib, float64(stream.KVReferencedBytes)/mib),
 		fmt.Sprintf("%.1f MiB", float64(stream.VectorHeapBytes)/mib),
@@ -380,6 +385,8 @@ func measureStreamedLake(seed uint64, models int) (ScaleStream, error) {
 	s.ReopenNs = time.Since(reopenStart).Nanoseconds()
 
 	ctx := context.Background()
+	runtime.GC()
+	heapBefore := heapAlloc()
 	qStart := time.Now()
 	for _, id := range sampleIDs {
 		if _, err := lk.SearchByModelContext(ctx, id, "behavior", 10); err != nil {
@@ -389,6 +396,8 @@ func measureStreamedLake(seed uint64, models int) (ScaleStream, error) {
 	if len(sampleIDs) > 0 {
 		s.SearchQPS = float64(len(sampleIDs)) / time.Since(qStart).Seconds()
 	}
+	runtime.GC()
+	s.ServeHeapGrowthBytes = int64(heapAlloc()) - int64(heapBefore)
 
 	// Keyword reads against the adopted postings segments, then the tier
 	// breakdown (which also forces the keyword drain for any cards the

@@ -106,9 +106,16 @@ func TestScaleSmoke100k(t *testing.T) {
 	if p := res.Stream.ReopenPeakHeapBytes; p == 0 || p >= 2<<30 {
 		t.Fatalf("reopening the 100k lake peaked at %d bytes", p)
 	}
-	t.Logf("stream arm: peak_heap_bytes=%d reopen_peak_heap_bytes=%d kv_heap_bytes=%d kv_referenced_bytes=%d reopen=%s",
-		res.Stream.PeakHeapBytes, res.Stream.ReopenPeakHeapBytes, res.Stream.KVHeapBytes,
-		res.Stream.KVReferencedBytes, time.Duration(res.Stream.ReopenNs))
+	// Related queries leave behind query-cache entries and nothing per model
+	// queried: no weights, no second copy of the query vector. The bound is
+	// the cache's own — 1024 entries of a 256-dim vector and a 17-hit list —
+	// with 2x slack for allocator rounding.
+	if g, bound := res.Stream.ServeHeapGrowthBytes, int64(2*1024*(8*256+17*24)); g > bound {
+		t.Fatalf("related queries grew the heap by %d bytes, over the query cache's %d", g, bound)
+	}
+	t.Logf("stream arm: peak_heap_bytes=%d reopen_peak_heap_bytes=%d serve_heap_growth_bytes=%d kv_heap_bytes=%d kv_referenced_bytes=%d reopen=%s",
+		res.Stream.PeakHeapBytes, res.Stream.ReopenPeakHeapBytes, res.Stream.ServeHeapGrowthBytes,
+		res.Stream.KVHeapBytes, res.Stream.KVReferencedBytes, time.Duration(res.Stream.ReopenNs))
 }
 
 // TestScaleSmoke1M is the headline gate behind the "1M models in one box"

@@ -349,9 +349,6 @@ func TestE12Shape(t *testing.T) {
 	if res.NModels == 0 || res.SerialNs <= 0 || res.ParallelNs <= 0 || res.Speedup <= 0 {
 		t.Fatalf("implausible result: %+v", res)
 	}
-	if res.CacheMisses == 0 {
-		t.Fatalf("fresh lake reported no cache misses: %+v", res)
-	}
 }
 
 // TestE13Shape pins the read-path benchmark's acceptance property at test

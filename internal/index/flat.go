@@ -80,7 +80,7 @@ type core struct {
 	mu      sync.RWMutex
 	closed  bool
 	ids     []string
-	byID    map[string]struct{}
+	byID    map[string]int32 // id → row ordinal; addID is the only writer
 	norms   []float64
 	dim     int
 	tier    rankTier    // nil on a plain exact index
@@ -99,7 +99,7 @@ func (c *core) init(metric Metric, exact, ranked annKind, tier rankTier, rescore
 	c.exact, c.ranked = exact, ranked
 	c.tier = tier
 	c.rescoreFactor = rescoreFactor
-	c.byID = make(map[string]struct{})
+	c.byID = make(map[string]int32)
 	c.scratch.New = func() any { return new(scratch) }
 }
 
@@ -183,8 +183,8 @@ func (c *core) addID(id string) error {
 	if _, ok := c.byID[id]; ok {
 		return fmt.Errorf("%w: %s", ErrDuplicateID, id)
 	}
+	c.byID[id] = int32(len(c.ids))
 	c.ids = append(c.ids, id)
-	c.byID[id] = struct{}{}
 	return nil
 }
 
@@ -263,6 +263,33 @@ func (c *core) preadRow(sc *scratch, i int) ([]float64, error) {
 		sc.row[j] = math.Float64frombits(binary.LittleEndian.Uint64(sc.buf[j*8:]))
 	}
 	return sc.row, nil
+}
+
+// Vector returns a copy of the full-precision row stored under id — the
+// bytes every distance against id is computed from — or ok=false when id is
+// not indexed. A segment row is one pread of the file the open verified, the
+// same trust the exact rescore reads with.
+func (c *core) Vector(id string) (tensor.Vector, bool, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if c.closed {
+		return nil, false, errClosed
+	}
+	ord, ok := c.byID[id]
+	if !ok {
+		return nil, false, nil
+	}
+	i := int(ord)
+	var sc *scratch // only a segment row needs the pread window
+	if i < c.segN {
+		sc = c.scratch.Get().(*scratch)
+		defer c.scratch.Put(sc)
+	}
+	row, err := c.rowAt(sc, i)
+	if err != nil {
+		return nil, false, err
+	}
+	return tensor.Vector(row).Clone(), true, nil
 }
 
 // Search implements Index.

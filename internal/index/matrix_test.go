@@ -8,13 +8,17 @@ package index
 // blocks of RAM rows, the per-row path the rest), the whole-index-shortlist
 // degenerate case, cancellation, recall (factor 1 provably misses on
 // adversarial rows, the default factor recovers), parallel rescore = serial,
-// and the allocation bound.
+// the allocation bound, and Vector — every id's stored row read back bit for
+// bit, from the segment, the tail and across spills.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"modellake/internal/raceflag"
@@ -192,6 +196,7 @@ func TestReadPathMatrix(t *testing.T) {
 					t.Run("recall", c.testRecall)
 					t.Run("parallel", c.testParallelRescore)
 					t.Run("allocs", c.testAllocs)
+					t.Run("vector", c.testVector)
 				})
 			}
 		}
@@ -468,4 +473,116 @@ func (c matrixCell) testAllocs(t *testing.T) {
 			t.Fatalf("%s: %v allocs/op, want <= 2", stage, a)
 		}
 	})
+}
+
+func assertVector(t *testing.T, label string, co *core, id string, want tensor.Vector) {
+	t.Helper()
+	got, ok, err := co.Vector(id)
+	if err != nil || !ok {
+		t.Fatalf("%s: Vector(%s) = ok %v, err %v", label, id, ok, err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: Vector(%s) has dim %d, want %d", label, id, len(got), len(want))
+	}
+	for j := range got {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("%s: Vector(%s)[%d] = %v, added %v", label, id, j, got[j], want[j])
+		}
+	}
+}
+
+// testVector reads every id's row back through Vector and requires the bits
+// that were added, wherever the row lives: RAM, a built or reopened segment,
+// the tail, and — with a spill threshold the tail crosses several times —
+// rows that moved from tail to segment. An unknown id is a miss, not an
+// error; the returned row is the call's one allocation and the caller's to
+// mutate; a closed index reports it is closed.
+func (c matrixCell) testVector(t *testing.T) {
+	const dim = 16
+	for _, n := range []int{0, 7, 500} {
+		vecs := randomVecs(t, n, dim, uint64(n)*17+uint64(c.metric))
+		ids := seqIDs(n)
+		// 125 tail rows over a 40-row threshold: three spills, five rows left.
+		cfg := QuantConfig{PQSubspaces: 8, PQTrainRows: 32, Seed: 7, SpillTailRows: 40}
+		c.stages(t, cfg, ids, vecs, func(stage string, idx Index) {
+			co := coreOf(idx)
+			label := fmt.Sprintf("%s n=%d", stage, n)
+			if c.rows == rowsTail && n == 500 && (co.segN != 495 || len(co.rows) != 5*dim) {
+				t.Fatalf("%s: %d segment rows + %d tail floats, want 495 + %d", label, co.segN, len(co.rows), 5*dim)
+			}
+			for i, id := range ids {
+				assertVector(t, label, co, id, vecs[i])
+			}
+			if v, ok, err := co.Vector("no-such-id"); v != nil || ok || err != nil {
+				t.Fatalf("%s: unknown id = (%v, %v, %v), want (nil, false, nil)", label, v, ok, err)
+			}
+			if n == 0 {
+				return
+			}
+			v, _, _ := co.Vector(ids[0])
+			v[0]++ // the caller's copy: the index must not see this
+			assertVector(t, label+" after mutating a returned row", co, ids[0], vecs[0])
+			if !raceflag.Enabled {
+				if a := testing.AllocsPerRun(100, func() { co.Vector(ids[n-1]) }); a != 1 {
+					t.Fatalf("%s: Vector allocates %v per call, want 1", label, a)
+				}
+			}
+			if d, ok := idx.(*DiskFlat); ok && stage == "reopened" {
+				if err := d.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := co.Vector(ids[0]); !errors.Is(err, errClosed) {
+					t.Fatalf("%s: Vector after Close: err = %v, want %v", label, err, errClosed)
+				}
+			}
+		})
+	}
+}
+
+// TestVectorRacesSpill reads rows back while a writer pushes the tail over a
+// small spill threshold again and again: the reader must get the added bits
+// from wherever the row is at that moment — tail before the spill, segment
+// after — and never a row resolved against the other layout. Run under -race.
+func TestVectorRacesSpill(t *testing.T) {
+	const n, dim = 300, 8
+	vecs := randomVecs(t, n, dim, 91)
+	ids := seqIDs(n)
+	path := filepath.Join(t.TempDir(), "vec.seg")
+	d := buildSegment(t, path, Cosine, QuantConfig{SpillTailRows: 8}, ids[:4], vecs[:4])
+	defer d.Close()
+
+	var added atomic.Int64 // ids[:added] are indexed
+	added.Store(4)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; added.Load() < n; i++ {
+			j := i % int(added.Load())
+			got, ok, err := d.Vector(ids[j])
+			if err != nil || !ok {
+				t.Errorf("Vector(%s) = ok %v, err %v", ids[j], ok, err)
+				return
+			}
+			for x := range got {
+				if math.Float64bits(got[x]) != math.Float64bits(vecs[j][x]) {
+					t.Errorf("Vector(%s)[%d] = %v, added %v", ids[j], x, got[x], vecs[j][x])
+					return
+				}
+			}
+		}
+	}()
+	for i := 4; i < n; i++ {
+		if err := d.Add(ids[i], vecs[i]); err != nil {
+			t.Fatal(err)
+		}
+		added.Store(int64(i + 1))
+	}
+	wg.Wait()
+	if d.SegmentLen() < n-8 {
+		t.Fatalf("segment holds %d of %d rows: the tail never spilled", d.SegmentLen(), n)
+	}
+	for i, id := range ids {
+		assertVector(t, "after the writer", &d.core, id, vecs[i])
+	}
 }

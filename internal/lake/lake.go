@@ -46,7 +46,16 @@ import (
 // Lake-level metrics. These time the facade operations end to end (storage
 // plus embedding plus indexing), the numbers a capacity plan actually needs.
 var (
-	mIngests    = obs.Default().Counter("lake_ingests_total")
+	mIngests = obs.Default().Counter("lake_ingests_total")
+	// Summed over every lake in the process (a cluster holds one per shard
+	// and replica). An embed hit is a query vector read from the row the
+	// index stores; a miss is an embedder run (ingest, rehydrate fallback,
+	// an external or unindexed query model).
+	mQueryCacheHits   = obs.Default().Counter("lake_query_cache_hits_total")
+	mQueryCacheMisses = obs.Default().Counter("lake_query_cache_misses_total")
+	mEmbedHits        = obs.Default().Counter("lake_embed_cache_hits_total")
+	mEmbedMisses      = obs.Default().Counter("lake_embed_cache_misses_total")
+
 	mIngestDur  = obs.Default().Histogram("lake_ingest_duration_seconds", nil)
 	mQueryDur   = obs.Default().Histogram("lake_query_duration_seconds", nil)
 	mKwDrainDur = obs.Default().Histogram("lake_keyword_drain_seconds", nil)
@@ -234,9 +243,8 @@ type Lake struct {
 	behaviorCS *search.ContentSearcher
 	weightCS   *search.ContentSearcher
 	taskSearch *search.TaskSearcher
-	embedCache *embedding.VectorCache // in-process memo, never persisted
-	qcache     *queryCache            // nil when disabled
-	vecNS      string                 // namespace stamped into persisted vec records
+	qcache     *queryCache // nil when disabled
+	vecNS      string      // namespace stamped into persisted vec records
 
 	mu         sync.RWMutex
 	closed     bool
@@ -313,7 +321,6 @@ func Open(cfg Config) (*Lake, error) {
 		runner:     benchmark.NewRunner(scoreKV),
 		keyword:    search.NewShardedKeywordIndexConfig(kwCfg),
 		taskSearch: &search.TaskSearcher{},
-		embedCache: embedding.NewVectorCache(),
 		modelCache: map[string]*model.Model{},
 		benchmarks: map[string]*benchmark.Benchmark{},
 		datasets:   map[string]*data.Dataset{},
@@ -328,14 +335,10 @@ func Open(cfg Config) (*Lake, error) {
 		l.qcache = newQueryCache(cfg.QueryCacheSize)
 	}
 	l.behaviorCS = search.NewContentSearcher(
-		embedding.NewCached(
-			embedding.NewBehaviorEmbedder(cfg.InputDim, cfg.Probes, cfg.MaxClasses, cfg.Seed),
-			l.embedCache),
+		embedding.NewBehaviorEmbedder(cfg.InputDim, cfg.Probes, cfg.MaxClasses, cfg.Seed),
 		l.newIndex())
 	l.weightCS = search.NewContentSearcher(
-		embedding.NewCached(
-			embedding.NewWeightEmbedder(32, 4, cfg.Seed+1),
-			l.embedCache),
+		embedding.NewWeightEmbedder(32, 4, cfg.Seed+1),
 		l.newIndex())
 
 	// Rehydrate indexes from a previously persisted lake.
@@ -343,26 +346,6 @@ func Open(cfg Config) (*Lake, error) {
 		kv.Close()
 		return nil, err
 	}
-	// Export the embedding-cache counters. CounterFunc replaces the reader
-	// on re-registration, so in a process that opens several lakes the
-	// metrics follow the most recently opened one instead of pinning a
-	// closed lake's cache alive.
-	obs.Default().CounterFunc("lake_embed_cache_hits_total", func() float64 {
-		h, _ := l.EmbedCacheStats()
-		return float64(h)
-	})
-	obs.Default().CounterFunc("lake_embed_cache_misses_total", func() float64 {
-		_, m := l.EmbedCacheStats()
-		return float64(m)
-	})
-	obs.Default().CounterFunc("lake_query_cache_hits_total", func() float64 {
-		h, _ := l.QueryCacheStats()
-		return float64(h)
-	})
-	obs.Default().CounterFunc("lake_query_cache_misses_total", func() float64 {
-		_, m := l.QueryCacheStats()
-		return float64(m)
-	})
 	obs.Default().GaugeFunc("keyword_map_docs", func() float64 {
 		m, _ := l.keyword.TierDocs()
 		return float64(m)
@@ -395,7 +378,6 @@ func (l *Lake) quantConfig() index.QuantConfig {
 // hydrated is the per-record product of the parallel rehydrate stage.
 type hydrated struct {
 	bvec, wvec tensor.Vector // content-index vectors; nil = space not indexable
-	m          *model.Model  // non-nil when the fallback decode ran
 	miss       string        // why the fallback ran (a vec* reason); "" when it did not
 	missErr    error         // what was wrong with the record, for vecCorrupt
 	err        error         // hard failure: Open must not succeed
@@ -515,9 +497,6 @@ func (l *Lake) rehydrate() error {
 						firstCorrupt = fmt.Sprintf("%s: %v", rec.ID, h.missErr)
 					}
 				}
-			}
-			if h.m != nil {
-				l.modelCache[rec.ID] = h.m
 			}
 			if h.bvec != nil && place(l.behaviorCS, &bSeg, lo+i, h.bvec) {
 				// Defer handle loading: the task roster materializes on
@@ -686,9 +665,8 @@ func (l *Lake) hydrateOne(rec *registry.Record, known map[blob.ID]struct{}) hydr
 	if err != nil {
 		return hydrated{err: fmt.Errorf("lake: rehydrate %s: decode weights: %w", rec.ID, err)}
 	}
-	m := &model.Model{ID: rec.ID, Name: rec.Name, Net: net, Hist: rec.Hist}
-	e := l.embedItem(m)
-	return hydrated{m: m, bvec: e.bvec, wvec: e.wvec, miss: miss, missErr: missErr}
+	e := l.embedItem(&model.Model{ID: rec.ID, Name: rec.Name, Net: net, Hist: rec.Hist})
+	return hydrated{bvec: e.bvec, wvec: e.wvec, miss: miss, missErr: missErr}
 }
 
 // runParallel runs fn(0..n-1) across a bounded worker pool. parallelism <= 0
@@ -903,10 +881,9 @@ func (l *Lake) TierMemStats() TierMemStats {
 
 // embedded holds the ID-independent per-model work a batch ingest can do
 // concurrently before any durable state is touched: the content-space
-// embeddings and the weights fingerprint.
+// embeddings.
 type embedded struct {
 	bvec, wvec tensor.Vector
-	fp         string
 }
 
 // preparedIngest is one model's fully staged ingest: registry ops, the
@@ -921,23 +898,20 @@ type preparedIngest struct {
 	c     *card.Card
 }
 
-// embedItem computes a model's content-space vectors and weights
-// fingerprint. All of it is independent of the (not yet assigned) model ID,
-// which is what lets batch ingest run this stage on a worker pool.
+// embedItem computes a model's content-space vectors. They are independent
+// of the (not yet assigned) model ID, which is what lets batch ingest run
+// this stage on a worker pool.
 func (l *Lake) embedItem(m *model.Model) embedded {
 	var e embedded
 	if m == nil {
 		return e
 	}
 	h := model.NewHandle(m)
-	if v, err := l.behaviorCS.EmbedQuery(h); err == nil {
+	if v, err := embed(l.behaviorCS, h); err == nil {
 		e.bvec = v
 	}
-	if v, err := l.weightCS.EmbedQuery(h); err == nil {
+	if v, err := embed(l.weightCS, h); err == nil {
 		e.wvec = v
-	}
-	if fp, ok := embedding.Fingerprint(h); ok {
-		e.fp = fp
 	}
 	return e
 }
@@ -949,9 +923,6 @@ func (l *Lake) embedItem(m *model.Model) embedded {
 // serial ingest loop would. Nothing durable happens here beyond sequence
 // leases; the caller owns blob writes and the atomic Apply.
 func (l *Lake) prepareIngest(m *model.Model, c *card.Card, opts registry.RegisterOptions, e embedded, pending map[string]bool) (*preparedIngest, error) {
-	if e.fp != "" && opts.WeightsFP == "" {
-		opts.WeightsFP = e.fp
-	}
 	pend, err := l.reg.Prepare(m, c, opts)
 	if err != nil {
 		return nil, err
@@ -1140,7 +1111,7 @@ func (l *Lake) IngestAll(items []IngestItem, parallelism int) ([]*registry.Recor
 		parallelism = l.cfg.IngestParallelism
 	}
 
-	// Stage 1: embeddings and fingerprints, concurrently — none of it needs
+	// Stage 1: embeddings, concurrently — none of it needs
 	// the model IDs assigned in stage 2.
 	emb := make([]embedded, len(items))
 	runParallel(len(items), parallelism, func(i int) {
@@ -1251,12 +1222,6 @@ func (l *Lake) IngestAllContext(ctx context.Context, items []IngestItem, paralle
 		return recs, errs
 	}
 	return l.IngestAll(items, parallelism)
-}
-
-// EmbedCacheStats reports the in-process embedding memo's hits and misses
-// since the lake was opened.
-func (l *Lake) EmbedCacheStats() (hits, misses uint64) {
-	return l.embedCache.Stats()
 }
 
 // Model returns a full-view handle for a lake model.
@@ -1414,40 +1379,49 @@ func (l *Lake) contentSearcher(space string) (*search.ContentSearcher, error) {
 	return nil, fmt.Errorf("lake: unknown embedding space %q", space)
 }
 
-// searchContent is the shared model-as-query read path: embed the query
-// (embedding memo), consult the query-result cache for the raw top-(k+1)
-// hits, fall through to the ANN index on a miss, then drop the query model's
-// own entry. Cached and uncached answers are identical by construction — the
-// cache stores the raw index response, and the same ExcludeSelf
-// post-processing runs either way.
-func (l *Lake) searchContent(ctx context.Context, space string, h *model.Handle, k int) ([]search.Hit, error) {
-	defer mSearchDurs("model").Since(time.Now())
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+// embed runs cs's embedder on h, counted as embed demand that had to be
+// computed.
+func embed(cs *search.ContentSearcher, h *model.Handle) (tensor.Vector, error) {
+	mEmbedMisses.Inc()
+	return cs.EmbedQuery(h)
+}
+
+// queryVector is the query vector of lake model id in space: the
+// full-precision row the index stores under id — what the embedder returned
+// at ingest and what every distance to id is computed against — so a related
+// query loads no weights and embeds nothing. Only when the space does not
+// index id (closed weights after a restart, a shape the probe space rejects,
+// a follower that skipped a foreign-namespace vec record) is the model loaded
+// and embedded, which yields the vector or the reason there is none.
+func (l *Lake) queryVector(id, space string) (tensor.Vector, error) {
 	cs, err := l.contentSearcher(space)
 	if err != nil {
 		return nil, err
 	}
-	v, err := cs.EmbedQuery(h)
+	v, ok, err := cs.Vector(id)
 	if err != nil {
 		return nil, err
 	}
-	// The cache key includes the searcher's space name; normalize "" so the
-	// default space shares entries with its explicit spelling.
-	cacheSpace := space
-	if cacheSpace == "" {
-		cacheSpace = "behavior"
+	if ok {
+		mEmbedHits.Inc()
+		return v, nil
 	}
-	raw, ok := l.qcache.get(cacheSpace, v, k+1)
-	if !ok {
-		raw, err = cs.SearchByVectorContext(ctx, v, k+1)
-		if err != nil {
-			return nil, err
-		}
-		l.qcache.put(cacheSpace, v, k+1, raw)
+	h, err := l.Model(id)
+	if err != nil {
+		return nil, err
 	}
-	return search.ExcludeSelf(raw, h.ID(), k), nil
+	return embed(cs, h)
+}
+
+// searchAround ranks the lake by proximity to v and drops selfID — the half
+// of a model-as-query search after the query vector is known. The cluster
+// runs the same two steps with a merge across shards between them.
+func (l *Lake) searchAround(ctx context.Context, space string, v tensor.Vector, selfID string, k int) ([]search.Hit, error) {
+	raw, err := l.SearchByVectorSpace(ctx, space, v, k+1)
+	if err != nil {
+		return nil, err
+	}
+	return search.ExcludeSelf(raw, selfID, k), nil
 }
 
 // SearchByModel is model-as-query related-model search in the given space
@@ -1458,14 +1432,15 @@ func (l *Lake) SearchByModel(id, space string, k int) ([]search.Hit, error) {
 
 // SearchByModelContext is SearchByModel honoring a request context.
 func (l *Lake) SearchByModelContext(ctx context.Context, id, space string, k int) ([]search.Hit, error) {
+	defer mSearchDurs("model").Since(time.Now())
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	h, err := l.Model(id)
+	v, err := l.queryVector(id, space)
 	if err != nil {
 		return nil, err
 	}
-	return l.searchContent(ctx, space, h, k)
+	return l.searchAround(ctx, space, v, id, k)
 }
 
 // SearchByHandle is model-as-query search with an external query model (one
@@ -1477,7 +1452,19 @@ func (l *Lake) SearchByHandle(h *model.Handle, space string, k int) ([]search.Hi
 
 // SearchByHandleContext is SearchByHandle honoring a request context.
 func (l *Lake) SearchByHandleContext(ctx context.Context, h *model.Handle, space string, k int) ([]search.Hit, error) {
-	return l.searchContent(ctx, space, h, k)
+	defer mSearchDurs("model").Since(time.Now())
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	cs, err := l.contentSearcher(space)
+	if err != nil {
+		return nil, err
+	}
+	v, err := embed(cs, h)
+	if err != nil {
+		return nil, err
+	}
+	return l.searchAround(ctx, space, v, h.ID(), k)
 }
 
 // SearchByModelMany answers a batch of model-as-query searches in one call,
@@ -1525,11 +1512,7 @@ func (l *Lake) SearchHybrid(query string, queryModelID string, k int) ([]search.
 		rankings = append(rankings, kw)
 	}
 	if queryModelID != "" {
-		h, err := l.Model(queryModelID)
-		if err != nil {
-			return nil, err
-		}
-		content, err := l.behaviorCS.SearchByModel(h, k*4)
+		content, err := l.SearchByModel(queryModelID, "behavior", k*4)
 		if err != nil {
 			return nil, err
 		}

@@ -39,10 +39,16 @@ type queryCacheEntry struct {
 	hits []search.Hit
 }
 
-// defaultQueryCacheCap bounds the cache footprint: 1024 entries × (vector +
-// k hits) is a few MiB at typical embedding dims, enough to cover a hot
-// working set without mattering to the process RSS.
-const defaultQueryCacheCap = 1024
+// defaultQueryCacheCap and maxCachedHits bound the cache footprint: 1024
+// entries × (vector + at most 256 hits) is a few MiB at typical embedding
+// dims, enough to cover a hot working set without mattering to the process
+// RSS. Requests for more — an MLQL RANK BY similarity asks for the whole
+// lake, 100 kB a list at 4k models — are not admitted: the entry cap would
+// otherwise bound nothing in bytes.
+const (
+	defaultQueryCacheCap = 1024
+	maxCachedHits        = 256
+)
 
 func newQueryCache(capacity int) *queryCache {
 	if capacity <= 0 {
@@ -97,19 +103,22 @@ func (c *queryCache) get(space string, v tensor.Vector, k int) ([]search.Hit, bo
 			copy(out, ent.hits)
 			c.mu.Unlock()
 			c.hits.Add(1)
+			mQueryCacheHits.Inc()
 			return out, true
 		}
 	}
 	c.mu.Unlock()
 	c.misses.Add(1)
+	mQueryCacheMisses.Inc()
 	return nil, false
 }
 
 // put stores the raw hits for (space, v, k), evicting the least recently
-// used entry when full. The vector and hits are copied in, so later caller
-// mutations cannot reach the cache.
+// used entry when full; a request for more than maxCachedHits is not admitted
+// (its get simply misses). The vector and hits are copied in, so later
+// caller mutations cannot reach the cache.
 func (c *queryCache) put(space string, v tensor.Vector, k int, hits []search.Hit) {
-	if c == nil {
+	if c == nil || k > maxCachedHits {
 		return
 	}
 	key := c.key(space, v, k)

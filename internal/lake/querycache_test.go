@@ -217,3 +217,52 @@ func TestLakeQueryCacheDisabled(t *testing.T) {
 		t.Fatalf("disabled cache recorded traffic: %d hits / %d misses", hits, misses)
 	}
 }
+
+// TestQueryCacheSkipsLongResults: the cache is sized for related-query lists;
+// a request for more than maxCachedHits — MLQL's RANK BY similarity asks for
+// the whole lake — is answered the same twice and never admitted, while the
+// 17-hit path still hits.
+func TestQueryCacheSkipsLongResults(t *testing.T) {
+	c := newQueryCache(8)
+	v := qcVec(1, 4)
+	c.put("behavior", v, maxCachedHits+1, qcHits("a", "b"))
+	if _, ok := c.get("behavior", v, maxCachedHits+1); ok || c.len() != 0 {
+		t.Fatalf("a %d-hit request was admitted (len %d)", maxCachedHits+1, c.len())
+	}
+	c.put("behavior", v, maxCachedHits, qcHits("a", "b"))
+	if _, ok := c.get("behavior", v, maxCachedHits); !ok {
+		t.Fatalf("a %d-hit request was not admitted", maxCachedHits)
+	}
+
+	pop := population(t, 97)
+	l, err := Open(Config{Seed: 97})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	ids := fill(t, l, pop)
+	whole := func() []search.Hit {
+		hits, err := l.SearchByModel(ids[0], "behavior", maxCachedHits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hits
+	}
+	first := whole()
+	if len(first) != l.Count()-1 {
+		t.Fatalf("whole-lake ranking returned %d of %d models", len(first), l.Count()-1)
+	}
+	sameHits(t, "whole-lake ranking, second call", whole(), first)
+	if n := l.qcache.len(); n != 0 {
+		t.Fatalf("whole-lake rankings left %d cache entries", n)
+	}
+	hits0, _ := l.QueryCacheStats()
+	for i := 0; i < 2; i++ {
+		if _, err := l.SearchByModel(ids[0], "behavior", 16); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hits, _ := l.QueryCacheStats(); hits != hits0+1 || l.qcache.len() != 1 {
+		t.Fatalf("17-hit path: %d cache hits, %d entries, want 1 and 1", hits-hits0, l.qcache.len())
+	}
+}

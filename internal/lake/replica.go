@@ -146,26 +146,19 @@ func (l *Lake) Promote(sync bool) error {
 	return nil
 }
 
-// EmbedModelQuery embeds lake model id into the named content space — the
-// owner-shard half of a cluster model-as-query search, split from the scan
-// so the query vector can fan out to every shard.
+// EmbedModelQuery returns lake model id's query vector in the named content
+// space (see queryVector) — the owner-shard half of a cluster model-as-query
+// search, split from the scan so the vector can fan out to every shard.
 func (l *Lake) EmbedModelQuery(id, space string) (tensor.Vector, error) {
-	cs, err := l.contentSearcher(space)
-	if err != nil {
-		return nil, err
-	}
-	h, err := l.Model(id)
-	if err != nil {
-		return nil, err
-	}
-	return cs.EmbedQuery(h)
+	return l.queryVector(id, space)
 }
 
-// SearchByVectorSpace is the raw per-shard scan behind cluster
-// scatter-gather: the local top-k by vector in the named space, with no
-// self-exclusion (the router excludes the query model after merging). It
-// shares the query-result cache with the single-node read path — same
-// space-normalized key, same raw hits.
+// SearchByVectorSpace is the raw scan behind every content search, single
+// node or per shard of a cluster scatter-gather: the local top-k by vector in
+// the named space, with no self-exclusion (the caller excludes the query
+// model, after merging if there are shards). It is the one place the
+// query-result cache is read and written: the cache stores the raw index
+// response, so cached and uncached answers are identical by construction.
 func (l *Lake) SearchByVectorSpace(ctx context.Context, space string, v tensor.Vector, k int) ([]search.Hit, error) {
 	defer mSearchDurs("vector").Since(time.Now())
 	if err := ctx.Err(); err != nil {
@@ -175,17 +168,18 @@ func (l *Lake) SearchByVectorSpace(ctx context.Context, space string, v tensor.V
 	if err != nil {
 		return nil, err
 	}
-	cacheSpace := space
-	if cacheSpace == "" {
-		cacheSpace = "behavior"
+	// The cache key includes the space name; normalize "" so the default
+	// space shares entries with its explicit spelling.
+	if space == "" {
+		space = "behavior"
 	}
-	raw, ok := l.qcache.get(cacheSpace, v, k)
+	raw, ok := l.qcache.get(space, v, k)
 	if !ok {
 		raw, err = cs.SearchByVectorContext(ctx, v, k)
 		if err != nil {
 			return nil, err
 		}
-		l.qcache.put(cacheSpace, v, k, raw)
+		l.qcache.put(space, v, k, raw)
 	}
 	return raw, nil
 }

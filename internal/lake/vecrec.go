@@ -7,11 +7,11 @@ package lake
 // metadata log: no record re-decode, no weight decode, no re-embedding —
 // only the weights-blob existence check remains per model. These records
 // are the only durable copy of an embedding; everything else that holds one
-// (the ANN indexes, on-disk vector segments, the in-process memo) is derived
-// from them or recomputed. The record carries the embedding namespace (every
-// config knob that changes embedder output) plus per-space embedder names,
-// so a lake reopened with different embedding parameters ignores the stale
-// vectors and falls back to decode-and-embed for that model.
+// (the ANN indexes, on-disk vector segments) is derived from them. The record
+// carries the embedding namespace (every config knob that changes embedder
+// output) plus per-space embedder names, so a lake reopened with different
+// embedding parameters ignores the stale vectors and falls back to
+// decode-and-embed for that model.
 
 import (
 	"encoding/binary"

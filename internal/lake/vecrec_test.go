@@ -107,13 +107,14 @@ func TestRehydrateFastMatchesEager(t *testing.T) {
 	defer live.Close()
 	ids := fill(t, live, pop)
 
+	embeds0 := mEmbedMisses.Value()
 	fast, err := Open(Config{Dir: dir, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fast.Close()
-	if hits, misses := fast.EmbedCacheStats(); hits+misses != 0 {
-		t.Fatalf("vec-record reopen embedded (%d memo hits, %d misses)", hits, misses)
+	if n := mEmbedMisses.Value() - embeds0; n != 0 {
+		t.Fatalf("vec-record reopen ran an embedder %d times", n)
 	}
 
 	if fast.Count() != live.Count() {
@@ -155,9 +156,8 @@ func TestRehydrateFastMatchesEager(t *testing.T) {
 		t.Fatalf("task search differs:\n live %v\n fast %v", want, got)
 	}
 
-	// A third handle on the directory: its memo starts cold, so the embeds
-	// below are computed here from blob-loaded weights, not remembered from
-	// ingest.
+	// A third handle on the directory: the embeds below are computed from
+	// blob-loaded weights.
 	fresh, err := Open(Config{Dir: dir, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
@@ -217,6 +217,7 @@ func TestRehydrateNamespaceMismatchFallsBack(t *testing.T) {
 	l.Close()
 
 	// Different probe count → different behavior-embedding namespace.
+	fallbacks0 := mVecFallbacks[vecNamespace].Value()
 	re, err := Open(Config{Dir: dir, Seed: 10, Probes: 24})
 	if err != nil {
 		t.Fatalf("reopen with changed embedding config failed: %v", err)
@@ -225,12 +226,10 @@ func TestRehydrateNamespaceMismatchFallsBack(t *testing.T) {
 	if re.Count() != len(pop.Members) {
 		t.Fatalf("count = %d, want %d", re.Count(), len(pop.Members))
 	}
-	// The stale vec records must have been bypassed: the fallback embeds
-	// every model in both spaces through the (cold) memo. Members that share
-	// weights are the only possible hits.
-	if hits, misses := re.EmbedCacheStats(); hits+misses != uint64(2*len(pop.Members)) || misses <= hits {
-		t.Fatalf("fallback rehydration: %d memo hits + %d misses, want %d lookups, mostly misses",
-			hits, misses, 2*len(pop.Members))
+	// The stale vec records must have been bypassed: every model took the
+	// decode-and-embed fallback.
+	if n := mVecFallbacks[vecNamespace].Value() - fallbacks0; n != uint64(len(pop.Members)) {
+		t.Fatalf("fallback rehydration: %d namespace fallbacks, want %d", n, len(pop.Members))
 	}
 	// And the rebuilt indexes must agree with a lake that ingested the same
 	// models under the new config in the first place.

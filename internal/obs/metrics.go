@@ -134,11 +134,10 @@ func (h *Histogram) Buckets() (bounds []float64, cumulative []uint64) {
 
 // metric kinds.
 const (
-	kindCounter     = "counter"
-	kindGauge       = "gauge"
-	kindHistogram   = "histogram"
-	kindCounterFunc = "counterfunc" // exposed as counter
-	kindGaugeFunc   = "gaugefunc"   // exposed as gauge
+	kindCounter   = "counter"
+	kindGauge     = "gauge"
+	kindHistogram = "histogram"
+	kindGaugeFunc = "gaugefunc" // exposed as gauge
 )
 
 // metric is one (name, labels) series.
@@ -161,10 +160,7 @@ type family struct {
 }
 
 func (f *family) exposedKind() string {
-	switch f.kind {
-	case kindCounterFunc:
-		return kindCounter
-	case kindGaugeFunc:
+	if f.kind == kindGaugeFunc {
 		return kindGauge
 	}
 	return f.kind
@@ -273,16 +269,6 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...Label) *H
 	return r.lookup(name, kindHistogram, labels, buckets).h
 }
 
-// CounterFunc registers (or replaces) a counter whose value is read from fn
-// at exposition time — for sources that already count internally, like the
-// embedding cache. fn must be safe for concurrent use and monotonic.
-func (r *Registry) CounterFunc(name string, fn func() float64, labels ...Label) {
-	m := r.lookup(name, kindCounterFunc, labels, nil)
-	r.mu.Lock()
-	m.fn = fn
-	r.mu.Unlock()
-}
-
 // GaugeFunc registers (or replaces) a gauge whose value is read from fn at
 // exposition time.
 func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...Label) {
@@ -346,7 +332,7 @@ func writeSeries(w io.Writer, name string, m *metric) error {
 	case kindGauge:
 		_, err := fmt.Fprintf(w, "%s%s %d\n", name, m.labels, m.g.Value())
 		return err
-	case kindCounterFunc, kindGaugeFunc:
+	case kindGaugeFunc:
 		_, err := fmt.Fprintf(w, "%s%s %s\n", name, m.labels, formatFloat(m.fn()))
 		return err
 	case kindHistogram:
@@ -407,7 +393,7 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 				s.Value = float64(m.c.Value())
 			case kindGauge:
 				s.Value = float64(m.g.Value())
-			case kindCounterFunc, kindGaugeFunc:
+			case kindGaugeFunc:
 				s.Value = m.fn()
 			case kindHistogram:
 				s.Count = m.h.Count()

@@ -166,7 +166,7 @@ func TestSnapshot(t *testing.T) {
 	r.Counter("ops_total", L("op", "put")).Add(9)
 	h := r.Histogram("lat_seconds", []float64{1})
 	h.Observe(0.5)
-	r.CounterFunc("hits_total", func() float64 { return 3 })
+	r.GaugeFunc("depth", func() float64 { return 3 })
 
 	snap := r.Snapshot()
 	byName := map[string]MetricSnapshot{}
@@ -176,8 +176,8 @@ func TestSnapshot(t *testing.T) {
 	if s := byName["ops_total"]; s.Value != 9 || s.Type != "counter" || s.Labels != `{op="put"}` {
 		t.Fatalf("ops_total snapshot = %+v", s)
 	}
-	if s := byName["hits_total"]; s.Value != 3 || s.Type != "counter" {
-		t.Fatalf("hits_total snapshot = %+v", s)
+	if s := byName["depth"]; s.Value != 3 || s.Type != "gauge" {
+		t.Fatalf("depth snapshot = %+v", s)
 	}
 	s := byName["lat_seconds"]
 	if s.Count != 1 || s.Sum != 0.5 || len(s.Buckets) != 2 {

@@ -48,12 +48,6 @@ type Record struct {
 	Arch      string  `json:"arch,omitempty"`
 	NumParams int     `json:"num_params,omitempty"`
 	Weights   blob.ID `json:"weights,omitempty"` // empty for closed-weights models
-	// WeightsFP is the embedding-layer fingerprint of the stored weights
-	// (see embedding.Fingerprint). It keys the embedding vector cache, so a
-	// rehydrating lake can look up cached vectors without reading or
-	// decoding the weights blob. Empty for closed-weights models and for
-	// records written before the field existed.
-	WeightsFP string `json:"weights_fp,omitempty"`
 
 	// Declared (documentation-derived) metadata.
 	DeclaredBases []string       `json:"declared_bases,omitempty"`
@@ -99,11 +93,6 @@ type RegisterOptions struct {
 	// reachable through the live handle the caller retains, but the lake
 	// stores no θ.
 	WithholdWeights bool
-	// WeightsFP optionally records the embedding fingerprint of the
-	// weights (embedding.Fingerprint) on the record, letting a later
-	// rehydrate hit the vector cache without touching the weights blob.
-	// Ignored for withheld weights.
-	WeightsFP string
 	// ID pins the model's catalog ID instead of minting one from this
 	// registry's sequence. A cluster router mints IDs centrally — placement
 	// is a consistent hash of the ID, so the ID must exist before a shard
@@ -183,7 +172,6 @@ func (r *Registry) Prepare(m *model.Model, c *card.Card, opts RegisterOptions) (
 			// stored, so records can reference weights that a batch writer
 			// persists later (but still before the ops commit).
 			rec.Weights = blob.Sum(enc)
-			rec.WeightsFP = opts.WeightsFP
 			p.EncodedWeights = enc
 		}
 	}

@@ -1,8 +1,11 @@
 package registry
 
 import (
+	"encoding/json"
 	"errors"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"modellake/internal/blob"
@@ -318,5 +321,41 @@ func TestCorruptCardSurfaced(t *testing.T) {
 	}
 	if _, err := r.Card(rec.ID); err == nil {
 		t.Fatal("corrupt card decoded silently")
+	}
+}
+
+// TestRecordFromOlderTreeDecodes: records written before the weights_fp field
+// was dropped still carry it. Such a record must decode to the same Record a
+// current tree would have written, and re-encode without the key.
+func TestRecordFromOlderTreeDecodes(t *testing.T) {
+	const fp = `,"weights_fp":"7f45f3e90476c88d2322cd6148f43e2749cef7f64bdde2429b119a088a971d27"`
+	const old = `{"id":"m-000002","name":"legal-finetune-2","version":"1","seq":2,"arch":"mlp:8-16-3:relu","num_params":195,` +
+		`"weights":"2bb273b412de103298b4af9839b7f8b07ea21e9315aab9ae1fc410c310d62611"` + fp +
+		`,"declared_bases":["legal-base"],"declared_data":"legal/v1.2","domain":"legal","tags":["demo"]}`
+	kv := kvstore.OpenMemory()
+	r := New(kv, blob.NewMemStore())
+	if err := kv.Put(modelKey("m-000002"), []byte(old)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.Get("m-000002")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &Record{
+		ID: "m-000002", Name: "legal-finetune-2", Version: "1", Seq: 2,
+		Arch: "mlp:8-16-3:relu", NumParams: 195,
+		Weights:       "2bb273b412de103298b4af9839b7f8b07ea21e9315aab9ae1fc410c310d62611",
+		DeclaredBases: []string{"legal-base"}, DeclaredData: "legal/v1.2", Domain: "legal",
+		Tags: []string{"demo"},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %+v, want %+v", got, want)
+	}
+	enc, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(enc) != strings.Replace(old, fp, "", 1) {
+		t.Fatalf("re-encoded record:\n %s\nwant the old bytes without weights_fp:\n %s", enc, strings.Replace(old, fp, "", 1))
 	}
 }

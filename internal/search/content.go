@@ -99,9 +99,7 @@ func (s *ContentSearcher) Reserve(n, dim int) {
 // vector was computed (by this searcher's own embedder) at ingest time and
 // persisted alongside the registry record. The caller is responsible for the
 // vector actually belonging to this searcher's embedding space; everything
-// else (ID reservation, index insertion) matches Add exactly, so an
-// AddVector call is indistinguishable from an Add that hit the embedding
-// cache.
+// else (ID reservation, index insertion) matches Add exactly.
 func (s *ContentSearcher) AddVector(id string, v tensor.Vector) error {
 	if err := s.reserve(id); err != nil {
 		return err
@@ -153,6 +151,19 @@ func (s *ContentSearcher) Close() error {
 
 // Len returns the number of indexed models.
 func (s *ContentSearcher) Len() int { return s.index().Len() }
+
+// Vector returns a copy of the full-precision vector the index stores under
+// id — what the embedder returned when id was added, and what every distance
+// to id is computed against. ok is false when id is not indexed (or the index
+// keeps no readable rows), and the caller embeds instead.
+func (s *ContentSearcher) Vector(id string) (tensor.Vector, bool, error) {
+	if vr, ok := s.index().(interface {
+		Vector(id string) (tensor.Vector, bool, error)
+	}); ok {
+		return vr.Vector(id)
+	}
+	return nil, false, nil
+}
 
 // EmbedQuery embeds a query model into this searcher's space without
 // touching the index — the first half of SearchByModel, exposed so callers

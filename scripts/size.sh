@@ -3,8 +3,9 @@
 # count goes down" is read off CI instead of hand-counted: non-test Go lines
 # per internal/* package (assembly lines beside them where a package has
 # any), the field counts of lake.Config and kvstore.Options (so "no new knob"
-# is read off the same table), and the magic of every on-disk format. Run from
-# anywhere; compare two checkouts with diff.
+# is read off the same table) and of registry.Record (its fields are bytes
+# per model on disk and in the KV heap), and the magic of every on-disk
+# format. Run from anywhere; compare two checkouts with diff.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,6 +39,8 @@ fields() { # number of fields of the struct type $1 declared in file $2
 echo "option fields"
 printf '  %-24s %6d\n' "lake.Config" "$(fields Config internal/lake/lake.go)"
 printf '  %-24s %6d\n' "kvstore.Options" "$(fields Options internal/kvstore/kvstore.go)"
+echo "per-model record fields"
+printf '  %-24s %6d\n' "registry.Record" "$(fields Record internal/registry/registry.go)"
 
 echo "on-disk format magics"
 grep -rnE '^\s*(const\s+)?\w*[mM]agic\w*(\s+\w+)?\s*=' --include='*.go' internal |

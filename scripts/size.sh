@@ -37,7 +37,7 @@ fields() { # number of fields of the struct type $1 declared in file $2
 		END { print n + 0 }' "$2"
 }
 echo "option fields"
-printf '  %-24s %6d\n' "lake.Config" "$(fields Config internal/lake/lake.go)"
+printf '  %-24s %6d\n' "lake.Config" "$(fields Config internal/lake/config.go)"
 printf '  %-24s %6d\n' "kvstore.Options" "$(fields Options internal/kvstore/kvstore.go)"
 echo "per-model record fields"
 printf '  %-24s %6d\n' "registry.Record" "$(fields Record internal/registry/registry.go)"

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 
 	"modellake/internal/data"
@@ -206,22 +207,35 @@ func scoreKey(modelID, benchID, metric string) string {
 	return "score/" + modelID + "/" + benchID + "/" + metric
 }
 
+// Cached returns the cached score of model modelID on the benchmark, counted
+// as a hit; ok is false when none is cached. It needs no model, so a caller
+// can skip loading one whose score is known.
+func (r *Runner) Cached(modelID string, b *Benchmark) (s float64, ok bool, err error) {
+	key := scoreKey(modelID, b.ID, b.Metric)
+	r.mu.Lock()
+	raw, gerr := r.kv.Get(key)
+	if gerr == nil {
+		r.Hits++
+	}
+	r.mu.Unlock()
+	if gerr != nil {
+		return 0, false, nil
+	}
+	if err := json.Unmarshal(raw, &s); err != nil {
+		return 0, false, fmt.Errorf("benchmark: corrupt cached score %s: %w", key, err)
+	}
+	return s, true, nil
+}
+
 // Score returns the model's score on the benchmark, computing and caching it
 // on first use. The handle's ID keys the cache.
 func (r *Runner) Score(h *model.Handle, b *Benchmark) (float64, error) {
-	key := scoreKey(h.ID(), b.ID, b.Metric)
-	r.mu.Lock()
-	kv := r.kv // captured under mu: SetStore may swap it concurrently
-	if raw, err := kv.Get(key); err == nil {
-		r.Hits++
-		r.mu.Unlock()
-		var s float64
-		if err := json.Unmarshal(raw, &s); err != nil {
-			return 0, fmt.Errorf("benchmark: corrupt cached score %s: %w", key, err)
-		}
-		return s, nil
+	if s, ok, err := r.Cached(h.ID(), b); ok || err != nil {
+		return s, err
 	}
+	r.mu.Lock()
 	r.Misses++
+	kv := r.kv // captured under mu: SetStore may swap it concurrently
 	r.mu.Unlock()
 
 	s, err := Run(h, b)
@@ -232,7 +246,7 @@ func (r *Runner) Score(h *model.Handle, b *Benchmark) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := kv.Put(key, raw); err != nil {
+	if err := kv.Put(scoreKey(h.ID(), b.ID, b.Metric), raw); err != nil {
 		return 0, err
 	}
 	return s, nil
@@ -259,15 +273,12 @@ type Entry struct {
 	Score   float64
 }
 
+// sortEntries orders best first, ties by model ID.
 func sortEntries(es []Entry) {
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0; j-- {
-			if es[j].Score > es[j-1].Score ||
-				(es[j].Score == es[j-1].Score && es[j].ModelID < es[j-1].ModelID) {
-				es[j], es[j-1] = es[j-1], es[j]
-			} else {
-				break
-			}
+	sort.Slice(es, func(i, j int) bool {
+		if es[i].Score != es[j].Score {
+			return es[i].Score > es[j].Score
 		}
-	}
+		return es[i].ModelID < es[j].ModelID
+	})
 }

@@ -135,6 +135,9 @@ func TestRunnerCaches(t *testing.T) {
 	r := NewRunner(kvstore.OpenMemory())
 	b := &Benchmark{ID: "b", DS: ds, Metric: MetricAccuracy}
 	h := model.NewHandle(m)
+	if _, ok, err := r.Cached(h.ID(), b); ok || err != nil {
+		t.Fatalf("Cached before scoring: ok=%v err=%v", ok, err)
+	}
 	s1, err := r.Score(h, b)
 	if err != nil {
 		t.Fatal(err)
@@ -148,6 +151,13 @@ func TestRunnerCaches(t *testing.T) {
 	}
 	if r.Hits != 1 || r.Misses != 1 {
 		t.Fatalf("hits=%d misses=%d, want 1/1", r.Hits, r.Misses)
+	}
+	// The lookup by ID alone returns the same score, counted like Score's hit.
+	if s3, ok, err := r.Cached(h.ID(), b); !ok || err != nil || s3 != s1 {
+		t.Fatalf("Cached = %v, %v, %v; want %v", s3, ok, err, s1)
+	}
+	if r.Hits != 2 || r.Misses != 1 {
+		t.Fatalf("after Cached: hits=%d misses=%d, want 2/1", r.Hits, r.Misses)
 	}
 }
 

@@ -24,15 +24,16 @@ func (l *Lake) VersionGraph() (*version.Graph, error) {
 
 // VersionGraphContext is VersionGraph honoring a request context: the
 // reconstruction is abandoned between models if ctx is canceled, so a slow
-// graph build cannot outlive its HTTP request.
+// graph build cannot outlive its HTTP request. A graph is cached only if no
+// model was registered while it was built: one that was may be missing from
+// it, and commit's clear of the slot has already happened.
 func (l *Lake) VersionGraphContext(ctx context.Context) (*version.Graph, error) {
 	l.mu.RLock()
-	if l.graph != nil {
-		g := l.graph
-		l.mu.RUnlock()
+	g, gen := l.graph, l.gen
+	l.mu.RUnlock()
+	if g != nil {
 		return g, nil
 	}
-	l.mu.RUnlock()
 
 	recs, err := l.reg.List()
 	if err != nil {
@@ -59,12 +60,14 @@ func (l *Lake) VersionGraphContext(ctx context.Context) (*version.Graph, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	g, err := version.Reconstruct(nodes, version.Config{ClassifyEdges: true, Seed: l.cfg.Seed})
+	g, err = version.Reconstruct(nodes, version.Config{ClassifyEdges: true, Seed: l.cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
 	l.mu.Lock()
-	l.graph = g
+	if l.gen == gen {
+		l.graph = g
+	}
 	l.mu.Unlock()
 	return g, nil
 }

@@ -2,6 +2,7 @@ package lake
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"modellake/internal/mlql"
@@ -175,17 +176,13 @@ func (c *catalog) BenchmarkRank(bench string) ([]mlql.Hit, error) {
 		}
 		out = append(out, mlql.Hit{ID: rec.ID, Score: s})
 	}
-	// Sort best-first, ties by ID.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0; j-- {
-			if out[j].Score > out[j-1].Score ||
-				(out[j].Score == out[j-1].Score && out[j].ID < out[j-1].ID) {
-				out[j], out[j-1] = out[j-1], out[j]
-			} else {
-				break
-			}
+	// Best first, ties by ID.
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Score != out[j].Score {
+			return out[i].Score > out[j].Score
 		}
-	}
+		return out[i].ID < out[j].ID
+	})
 	return out, nil
 }
 

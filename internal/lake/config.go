@@ -76,18 +76,12 @@ type Config struct {
 	// reopened lake's cards are bulk-built into segments on the first
 	// keyword request whatever the (non-negative) threshold.
 	KeywordMergeThreshold int
-	// IngestParallelism bounds the worker pool used by batch ingest (the
-	// embed stage), rehydration, and the keyword drain. Zero or negative
-	// means GOMAXPROCS. Single-model Ingest is unaffected.
-	IngestParallelism int
 	// DisableQueryCache turns off the invalidate-on-write LRU over
-	// content-search results (keyed by space + query-vector hash + k).
-	// By default repeated related-model queries against an unchanged lake
-	// are served from the cache without touching the ANN index.
+	// content-search results (keyed by space + query-vector hash + k; 1024
+	// entries). By default repeated related-model queries against an
+	// unchanged lake are served from the cache without touching the ANN
+	// index.
 	DisableQueryCache bool
-	// QueryCacheSize caps the query-result cache entry count. Zero or
-	// negative means the default (1024).
-	QueryCacheSize int
 	// VerifyBlobsOnOpen makes reopen read and checksum-verify every
 	// weights blob (a full integrity sweep, O(total weight bytes)). By
 	// default reopen only checks that every registered blob exists:

@@ -82,31 +82,17 @@ func (l *Lake) prepareIngest(m *model.Model, c *card.Card, opts registry.Registe
 	return p, nil
 }
 
-// commitIngest applies the in-memory effects of a landed ingest batch entry,
-// in the same order the old serial path did. The caller invalidates the
-// query cache (once per batch, not per model).
-func (l *Lake) commitIngest(p *preparedIngest) {
+// change is the population change of a landed ingest, for commit. It stamps
+// the assigned ID on the caller's model; a model without stored weights is
+// handed over live, as nothing else can load it.
+func (p *preparedIngest) change() change {
 	rec := p.pend.Rec
 	p.m.ID = rec.ID
-	l.mu.Lock()
-	l.modelCache[rec.ID] = p.m
-	l.graph = nil // new model invalidates the cached version graph
-	l.mu.Unlock()
-	if p.c != nil {
-		cc := p.c.Clone()
-		cc.ModelID = rec.ID
-		// A freshly minted ID is never segment-resident, so Add cannot
-		// need the (fallible) demote path.
-		_ = l.keyword.Add(rec.ID, cc.Text())
+	ch := change{id: rec.ID, registered: true, card: p.c, bvec: p.bvec, wvec: p.wvec}
+	if rec.Weights == "" {
+		ch.closed = p.m
 	}
-	if p.bvec != nil {
-		if err := l.behaviorCS.AddVector(rec.ID, p.bvec); err == nil {
-			l.taskSearchAdd(p.m)
-		}
-	}
-	if p.wvec != nil {
-		_ = l.weightCS.AddVector(rec.ID, p.wvec)
-	}
+	return ch
 }
 
 // Ingest registers a model with its card, indexes it for every search
@@ -130,8 +116,9 @@ func (l *Lake) Ingest(m *model.Model, c *card.Card, opts registry.RegisterOption
 	if err := l.kv.Apply(append(p.pend.Ops, p.extra...)); err != nil {
 		return nil, err
 	}
-	l.commitIngest(p)
-	l.qcache.invalidate() // new vectors can change any content-search answer
+	// A freshly minted ID is never segment-resident in the keyword index,
+	// so commit cannot fail.
+	_ = l.commit([]change{p.change()})
 	return p.pend.Rec, nil
 }
 
@@ -230,8 +217,8 @@ const (
 // commit in chunked atomic kvstore batches before the in-memory indexes
 // update in input order (stage 4). Each chunk is all-or-nothing; the
 // returned slices are aligned with items and a nil error means that model
-// was fully ingested. parallelism <= 0 uses the lake's configured
-// IngestParallelism (and GOMAXPROCS when that is unset too).
+// was fully ingested. parallelism bounds the embed stage's worker pool;
+// <= 0 means GOMAXPROCS.
 func (l *Lake) IngestAll(items []IngestItem, parallelism int) ([]*registry.Record, []error) {
 	start := time.Now()
 	defer mIngestDur.Since(start)
@@ -240,9 +227,6 @@ func (l *Lake) IngestAll(items []IngestItem, parallelism int) ([]*registry.Recor
 	errs := make([]error, len(items))
 	if len(items) == 0 {
 		return recs, errs
-	}
-	if parallelism <= 0 {
-		parallelism = l.cfg.IngestParallelism
 	}
 
 	// Stage 1: embeddings, concurrently — none of it needs
@@ -301,8 +285,10 @@ func (l *Lake) IngestAll(items []IngestItem, parallelism int) ([]*registry.Recor
 		}
 	}
 
-	// Stage 4: chunked atomic commits, then in-memory bookkeeping in input
-	// order (so the indexes are identical to a serial Ingest loop).
+	// Stage 4: chunked atomic commits, then one commit of every landed
+	// model's change in input order (so the indexes are identical to a
+	// serial Ingest loop).
+	var landed []change
 	flush := func(chunk []int, ops []kvstore.Op) {
 		if len(chunk) == 0 {
 			return
@@ -314,7 +300,7 @@ func (l *Lake) IngestAll(items []IngestItem, parallelism int) ([]*registry.Recor
 			return
 		}
 		for _, i := range chunk {
-			l.commitIngest(pres[i])
+			landed = append(landed, pres[i].change())
 			recs[i] = pres[i].pend.Rec
 		}
 	}
@@ -339,7 +325,7 @@ func (l *Lake) IngestAll(items []IngestItem, parallelism int) ([]*registry.Recor
 		opBytes += sz
 	}
 	flush(chunk, ops)
-	l.qcache.invalidate()
+	_ = l.commit(landed) // fresh IDs: see Ingest
 	return recs, errs
 }
 

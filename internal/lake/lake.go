@@ -77,24 +77,17 @@ type Lake struct {
 
 	mu         sync.RWMutex
 	closed     bool
-	modelCache map[string]*model.Model // live models (incl. closed-weight ones)
+	modelCache map[string]*model.Model // loaded models, and closed-weights ones' only copy
 	benchmarks map[string]*benchmark.Benchmark
 	datasets   map[string]*data.Dataset
 	graph      *version.Graph // cached reconstruction; nil when stale
+	gen        uint64         // population generation: bumped by every commit that registers a model
 
-	// Task-search roster, built lazily after a fast rehydrate: taskPending
-	// holds behaviour-indexed model IDs whose handles have not been loaded
-	// yet; the first SearchTask drains it. rosterMu serializes the drain so
-	// concurrent searches never see a half-built roster.
-	rosterMu    sync.Mutex
-	taskReady   bool     // guarded by mu
-	taskPending []string // guarded by mu
-
-	// Keyword index backlog, same lazy pattern: card loads and tokenization
-	// move off the reopen path onto the first keyword (or hybrid) search.
-	kwMu      sync.Mutex
-	kwReady   bool     // guarded by mu
-	kwPending []string // guarded by mu
+	// Derived state that loads on first use (see commit): behaviour-indexed
+	// ids whose roster handles are not loaded yet, and the cards a reopen
+	// left for the first keyword search to index.
+	taskBacklog backlog
+	kwBacklog   backlog
 }
 
 // Close releases the lake's storage: the metadata store and, for
@@ -211,7 +204,7 @@ func (l *Lake) PutCard(id string, c *card.Card) error {
 	if err := l.reg.PutCard(id, c); err != nil {
 		return err
 	}
-	if err := l.keyword.Add(id, c.Text()); err != nil {
+	if err := l.commit([]change{{id: id, card: c}}); err != nil {
 		return fmt.Errorf("lake: refresh keyword index: %w", err)
 	}
 	return nil
@@ -290,13 +283,18 @@ func (l *Lake) Benchmarks() []*benchmark.Benchmark {
 	return out
 }
 
-// Score runs (or fetches the cached score of) a model on a benchmark.
+// Score runs (or fetches the cached score of) a model on a benchmark. A
+// cached score is keyed by the model's ID alone, so it is read before, and
+// instead of, loading the model.
 func (l *Lake) Score(modelID, benchID string) (float64, error) {
 	l.mu.RLock()
 	b, ok := l.benchmarks[benchID]
 	l.mu.RUnlock()
 	if !ok {
 		return 0, fmt.Errorf("lake: unknown benchmark %q", benchID)
+	}
+	if s, ok, err := l.runner.Cached(modelID, b); ok || err != nil {
+		return s, err
 	}
 	h, err := l.Model(modelID)
 	if err != nil {

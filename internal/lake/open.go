@@ -81,15 +81,13 @@ func Open(cfg Config) (*Lake, error) {
 		modelCache: map[string]*model.Model{},
 		benchmarks: map[string]*benchmark.Benchmark{},
 		datasets:   map[string]*data.Dataset{},
-		taskReady:  true,
-		kwReady:    true,
 	}
 	// The namespace folds in every config knob that changes embedder
 	// output, so a lake reopened with different embedding parameters can
 	// never read vec records computed under the old ones.
 	l.vecNS = fmt.Sprintf("in%d_mc%d_p%d_s%d", cfg.InputDim, cfg.MaxClasses, cfg.Probes, cfg.Seed)
 	if !cfg.DisableQueryCache {
-		l.qcache = newQueryCache(cfg.QueryCacheSize)
+		l.qcache = newQueryCache(defaultQueryCacheCap)
 	}
 	l.behaviorCS = search.NewContentSearcher(
 		embedding.NewBehaviorEmbedder(cfg.InputDim, cfg.Probes, cfg.MaxClasses, cfg.Seed),
@@ -174,8 +172,8 @@ func (l *Lake) rehydrate() error {
 	// Adopt published keyword postings segments before queuing the keyword
 	// backlog: a segment whose covered documents all still match their
 	// current card text (by CRC) serves those documents straight from
-	// disk, and only the uncovered rest goes onto the lazy kwPending
-	// queue. A stale or damaged segment file is rejected whole and its
+	// disk, and only the uncovered rest goes onto the lazy keyword
+	// backlog. A stale or damaged segment file is rejected whole and its
 	// documents rebuild from cards like any other reopen.
 	kwCovered := map[string]bool{}
 	if l.cfg.DiskResidentPostings && len(recs) > 0 {
@@ -230,7 +228,7 @@ func (l *Lake) rehydrate() error {
 	res := make([]hydrated, min(hydrateWindow, len(recs)))
 	for lo := 0; lo < len(recs); lo += len(res) {
 		win := recs[lo:min(lo+len(res), len(recs))]
-		runParallel(len(win), l.cfg.IngestParallelism, func(i int) {
+		runParallel(len(win), 0, func(i int) {
 			res[i] = l.hydrateOne(win[i], known)
 		})
 		// Commit in record order. Keyword entries (for every carded model,
@@ -241,8 +239,7 @@ func (l *Lake) rehydrate() error {
 			h := res[i]
 			res[i] = hydrated{}
 			if !kwCovered[rec.ID] {
-				l.kwPending = append(l.kwPending, rec.ID)
-				l.kwReady = false
+				l.kwBacklog.push(rec.ID)
 			}
 			if h.err != nil {
 				return h.err
@@ -259,8 +256,7 @@ func (l *Lake) rehydrate() error {
 				// Defer handle loading: the task roster materializes on
 				// first SearchTask instead of costing every reopen a model
 				// decode per behaviour-indexed record.
-				l.taskPending = append(l.taskPending, rec.ID)
-				l.taskReady = false
+				l.taskBacklog.push(rec.ID)
 			}
 			if h.wvec != nil {
 				place(l.weightCS, &wSeg, lo+i, h.wvec)

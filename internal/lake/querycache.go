@@ -17,9 +17,10 @@ import (
 // keyed by (embedding space, query-vector hash, k). Repeated related-model
 // queries — the dominant read traffic in a serving lake, where popular
 // models are queried far more often than the catalog changes — skip the
-// index scan entirely. Every write that can change search results (ingest,
-// batch ingest) clears the whole cache: correctness over retention — a
-// cache may only ever be a speedup, never a divergence.
+// index scan entirely. Every write that adds vectors clears the whole cache
+// (see commit), and a result computed across a clear is not put back:
+// correctness over retention — a cache may only ever be a speedup, never a
+// divergence.
 //
 // Entries store the query vector itself and verify it on lookup, so even an
 // FNV-64 collision cannot surface another query's hits.
@@ -28,6 +29,7 @@ type queryCache struct {
 	cap     int
 	ll      *list.List // front = most recently used
 	entries map[string]*list.Element
+	gen     uint64 // invalidations so far
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
@@ -51,9 +53,6 @@ const (
 )
 
 func newQueryCache(capacity int) *queryCache {
-	if capacity <= 0 {
-		capacity = defaultQueryCacheCap
-	}
 	return &queryCache{
 		cap:     capacity,
 		ll:      list.New(),
@@ -85,12 +84,12 @@ func vecEqual(a, b tensor.Vector) bool {
 	return true
 }
 
-// get returns the cached raw hits for (space, v, k), or ok=false. The
-// returned slice is a copy: callers truncate and filter it freely without
-// corrupting the cached entry.
-func (c *queryCache) get(space string, v tensor.Vector, k int) ([]search.Hit, bool) {
+// get returns the cached raw hits for (space, v, k), or ok=false and the
+// generation to put the caller's result under. The returned slice is a copy:
+// callers truncate and filter it freely without corrupting the cached entry.
+func (c *queryCache) get(space string, v tensor.Vector, k int) (hits []search.Hit, gen uint64, ok bool) {
 	if c == nil {
-		return nil, false
+		return nil, 0, false
 	}
 	key := c.key(space, v, k)
 	c.mu.Lock()
@@ -104,20 +103,21 @@ func (c *queryCache) get(space string, v tensor.Vector, k int) ([]search.Hit, bo
 			c.mu.Unlock()
 			c.hits.Add(1)
 			mQueryCacheHits.Inc()
-			return out, true
+			return out, 0, true
 		}
 	}
+	gen = c.gen
 	c.mu.Unlock()
 	c.misses.Add(1)
 	mQueryCacheMisses.Inc()
-	return nil, false
+	return nil, gen, false
 }
 
-// put stores the raw hits for (space, v, k), evicting the least recently
-// used entry when full; a request for more than maxCachedHits is not admitted
-// (its get simply misses). The vector and hits are copied in, so later
-// caller mutations cannot reach the cache.
-func (c *queryCache) put(space string, v tensor.Vector, k int, hits []search.Hit) {
+// put stores the raw hits for (space, v, k) unless the cache was invalidated
+// since the get that returned gen or k exceeds maxCachedHits (its get simply
+// misses), evicting the least recently used entry when full. The vector and
+// hits are copied in, so later caller mutations cannot reach the cache.
+func (c *queryCache) put(gen uint64, space string, v tensor.Vector, k int, hits []search.Hit) {
 	if c == nil || k > maxCachedHits {
 		return
 	}
@@ -126,6 +126,9 @@ func (c *queryCache) put(space string, v tensor.Vector, k int, hits []search.Hit
 	copy(stored, hits)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if gen != c.gen {
+		return
+	}
 	if el, ok := c.entries[key]; ok {
 		el.Value.(*queryCacheEntry).hits = stored
 		c.ll.MoveToFront(el)
@@ -139,7 +142,7 @@ func (c *queryCache) put(space string, v tensor.Vector, k int, hits []search.Hit
 	}
 }
 
-// invalidate empties the cache. Called on every index-mutating write.
+// invalidate empties the cache and starts a new generation.
 func (c *queryCache) invalidate() {
 	if c == nil {
 		return
@@ -147,6 +150,7 @@ func (c *queryCache) invalidate() {
 	c.mu.Lock()
 	c.ll.Init()
 	c.entries = make(map[string]*list.Element)
+	c.gen++
 	c.mu.Unlock()
 }
 

@@ -29,19 +29,19 @@ func qcVec(seed int, dim int) tensor.Vector {
 func TestQueryCacheHitMissRoundTrip(t *testing.T) {
 	c := newQueryCache(8)
 	v := qcVec(1, 4)
-	if _, ok := c.get("behavior", v, 5); ok {
+	if _, _, ok := c.get("behavior", v, 5); ok {
 		t.Fatal("empty cache reported a hit")
 	}
-	c.put("behavior", v, 5, qcHits("a", "b"))
-	got, ok := c.get("behavior", v, 5)
+	c.put(0, "behavior", v, 5, qcHits("a", "b"))
+	got, _, ok := c.get("behavior", v, 5)
 	if !ok || len(got) != 2 || got[0].ID != "a" {
 		t.Fatalf("get = %v, %v", got, ok)
 	}
 	// Same vector, different k or space: distinct entries.
-	if _, ok := c.get("behavior", v, 6); ok {
+	if _, _, ok := c.get("behavior", v, 6); ok {
 		t.Fatal("k is not part of the key")
 	}
-	if _, ok := c.get("weights", v, 5); ok {
+	if _, _, ok := c.get("weights", v, 5); ok {
 		t.Fatal("space is not part of the key")
 	}
 	hits, misses := c.stats()
@@ -53,23 +53,23 @@ func TestQueryCacheHitMissRoundTrip(t *testing.T) {
 func TestQueryCacheLRUEviction(t *testing.T) {
 	c := newQueryCache(2)
 	v1, v2, v3 := qcVec(1, 4), qcVec(2, 4), qcVec(3, 4)
-	c.put("s", v1, 1, qcHits("a"))
-	c.put("s", v2, 1, qcHits("b"))
+	c.put(0, "s", v1, 1, qcHits("a"))
+	c.put(0, "s", v2, 1, qcHits("b"))
 	// Touch v1 so v2 becomes least recently used.
-	if _, ok := c.get("s", v1, 1); !ok {
+	if _, _, ok := c.get("s", v1, 1); !ok {
 		t.Fatal("v1 missing before eviction")
 	}
-	c.put("s", v3, 1, qcHits("c"))
+	c.put(0, "s", v3, 1, qcHits("c"))
 	if c.len() != 2 {
 		t.Fatalf("len = %d, want 2", c.len())
 	}
-	if _, ok := c.get("s", v2, 1); ok {
+	if _, _, ok := c.get("s", v2, 1); ok {
 		t.Fatal("LRU entry v2 survived eviction")
 	}
-	if _, ok := c.get("s", v1, 1); !ok {
+	if _, _, ok := c.get("s", v1, 1); !ok {
 		t.Fatal("recently used v1 was evicted")
 	}
-	if _, ok := c.get("s", v3, 1); !ok {
+	if _, _, ok := c.get("s", v3, 1); !ok {
 		t.Fatal("newest entry v3 missing")
 	}
 }
@@ -77,7 +77,7 @@ func TestQueryCacheLRUEviction(t *testing.T) {
 func TestQueryCacheInvalidate(t *testing.T) {
 	c := newQueryCache(8)
 	for i := 0; i < 5; i++ {
-		c.put("s", qcVec(i, 4), 1, qcHits(fmt.Sprint(i)))
+		c.put(0, "s", qcVec(i, 4), 1, qcHits(fmt.Sprint(i)))
 	}
 	if c.len() != 5 {
 		t.Fatalf("len = %d, want 5", c.len())
@@ -87,7 +87,7 @@ func TestQueryCacheInvalidate(t *testing.T) {
 		t.Fatalf("len after invalidate = %d, want 0", c.len())
 	}
 	for i := 0; i < 5; i++ {
-		if _, ok := c.get("s", qcVec(i, 4), 1); ok {
+		if _, _, ok := c.get("s", qcVec(i, 4), 1); ok {
 			t.Fatalf("entry %d survived invalidate", i)
 		}
 	}
@@ -103,7 +103,7 @@ func TestQueryCacheCollisionRejected(t *testing.T) {
 	c.mu.Lock()
 	c.entries[key] = c.ll.PushFront(&queryCacheEntry{key: key, vec: impostor, hits: qcHits("wrong")})
 	c.mu.Unlock()
-	if got, ok := c.get("s", probe, 3); ok {
+	if got, _, ok := c.get("s", probe, 3); ok {
 		t.Fatalf("collision served foreign hits: %v", got)
 	}
 }
@@ -114,14 +114,14 @@ func TestQueryCacheIsolation(t *testing.T) {
 	c := newQueryCache(8)
 	v := qcVec(1, 4)
 	in := qcHits("a", "b")
-	c.put("s", v, 2, in)
+	c.put(0, "s", v, 2, in)
 	in[0].ID = "mutated-in"
-	out1, _ := c.get("s", v, 2)
+	out1, _, _ := c.get("s", v, 2)
 	if out1[0].ID != "a" {
 		t.Fatalf("caller mutation reached the cache: %v", out1)
 	}
 	out1[1].ID = "mutated-out"
-	out2, _ := c.get("s", v, 2)
+	out2, _, _ := c.get("s", v, 2)
 	if out2[1].ID != "b" {
 		t.Fatalf("returned-slice mutation reached the cache: %v", out2)
 	}
@@ -129,10 +129,10 @@ func TestQueryCacheIsolation(t *testing.T) {
 
 func TestQueryCacheNilSafe(t *testing.T) {
 	var c *queryCache
-	if _, ok := c.get("s", qcVec(1, 2), 1); ok {
+	if _, _, ok := c.get("s", qcVec(1, 2), 1); ok {
 		t.Fatal("nil cache hit")
 	}
-	c.put("s", qcVec(1, 2), 1, qcHits("a"))
+	c.put(0, "s", qcVec(1, 2), 1, qcHits("a"))
 	c.invalidate()
 	if h, m := c.stats(); h != 0 || m != 0 {
 		t.Fatal("nil cache has stats")
@@ -225,12 +225,12 @@ func TestLakeQueryCacheDisabled(t *testing.T) {
 func TestQueryCacheSkipsLongResults(t *testing.T) {
 	c := newQueryCache(8)
 	v := qcVec(1, 4)
-	c.put("behavior", v, maxCachedHits+1, qcHits("a", "b"))
-	if _, ok := c.get("behavior", v, maxCachedHits+1); ok || c.len() != 0 {
+	c.put(0, "behavior", v, maxCachedHits+1, qcHits("a", "b"))
+	if _, _, ok := c.get("behavior", v, maxCachedHits+1); ok || c.len() != 0 {
 		t.Fatalf("a %d-hit request was admitted (len %d)", maxCachedHits+1, c.len())
 	}
-	c.put("behavior", v, maxCachedHits, qcHits("a", "b"))
-	if _, ok := c.get("behavior", v, maxCachedHits); !ok {
+	c.put(0, "behavior", v, maxCachedHits, qcHits("a", "b"))
+	if _, _, ok := c.get("behavior", v, maxCachedHits); !ok {
 		t.Fatalf("a %d-hit request was not admitted", maxCachedHits)
 	}
 

@@ -48,12 +48,12 @@ func (l *Lake) ReadWAL(from int64, maxBytes int) ([]byte, error) {
 // The blob store is shared with the leader (Config.BlobDir), so metadata is
 // the only thing that ships.
 //
-// Index updates mirror commitIngest: vec/<id> records feed the content
-// indexes (models become searchable by vector the moment their registration
-// applies), card/<id> records feed the keyword index, and model/<id> records
-// invalidate the caches that derive from the registry. The task-search
-// roster takes the same lazy path rehydration uses — handles load on the
-// replica's first task search, not on every shipped page.
+// Each op becomes a population change (replicatedChange), and the page's
+// changes go, in log order, to the commit every leader write path uses: a
+// model is searchable by vector the moment its registration applies, and
+// the task roster loads lazily on the replica's first task search. The page
+// has landed whatever commit reports, so a keyword update it could not make
+// (a failed demote of a disk-resident postings segment) does not fail it.
 func (l *Lake) ApplyWAL(page []byte) error {
 	recs, err := kvstore.DecodePage(page)
 	if err != nil {
@@ -62,58 +62,46 @@ func (l *Lake) ApplyWAL(page []byte) error {
 	if err := l.kv.ApplyPage(page); err != nil {
 		return err
 	}
+	var chs []change
 	for _, ops := range recs {
 		for i := range ops {
-			l.applyReplicatedOp(&ops[i])
+			chs = append(chs, l.replicatedChange(&ops[i]))
 		}
 	}
-	l.qcache.invalidate()
+	_ = l.commit(chs)
 	return nil
 }
 
-// applyReplicatedOp updates the in-memory indexes for one already-applied
-// op. It runs after the whole page landed in the kvstore, so registry reads
-// here see every key the op's batch carried.
-func (l *Lake) applyReplicatedOp(op *kvstore.Op) {
+// replicatedChange is the population change of one applied op (the zero
+// change, a no-op to commit, for an op that makes none). It runs after the
+// whole page landed, so registry reads see every key the op's batch carried.
+// A vec record written under another embedding namespace has no rows this
+// lake can use.
+func (l *Lake) replicatedChange(op *kvstore.Op) (ch change) {
 	switch {
-	case strings.HasPrefix(op.Key, vecPrefix):
-		if op.Delete {
-			return
-		}
-		id := op.Key[len(vecPrefix):]
+	case strings.HasPrefix(op.Key, vecPrefix) && !op.Delete:
 		ns, vecs, err := decodeVecRecord(op.Value)
 		if err != nil || ns != l.vecNS {
-			return
+			return change{}
 		}
+		ch.id = op.Key[len(vecPrefix):]
 		for _, sv := range vecs {
 			switch sv.Space {
 			case l.behaviorCS.EmbedderName():
-				if err := l.behaviorCS.AddVector(id, sv.Vec); err == nil {
-					l.mu.Lock()
-					l.taskPending = append(l.taskPending, id)
-					l.taskReady = false
-					l.mu.Unlock()
-				}
+				ch.bvec = sv.Vec
 			case l.weightCS.EmbedderName():
-				_ = l.weightCS.AddVector(id, sv.Vec)
+				ch.wvec = sv.Vec
 			}
 		}
 	case strings.HasPrefix(op.Key, "card/"):
-		id := op.Key[len("card/"):]
-		if op.Delete {
-			_ = l.keyword.Remove(id)
-			return
-		}
-		if c, err := l.reg.Card(id); err == nil {
-			_ = l.keyword.Add(id, c.Text())
+		ch.id, ch.dropCard = op.Key[len("card/"):], op.Delete
+		if !op.Delete {
+			ch.card, _ = l.reg.Card(ch.id) // nil if unreadable: nothing to index
 		}
 	case strings.HasPrefix(op.Key, "model/"):
-		id := op.Key[len("model/"):]
-		l.mu.Lock()
-		delete(l.modelCache, id) // reload lazily from the replicated record
-		l.graph = nil            // population changed: cached version graph is stale
-		l.mu.Unlock()
+		ch.id, ch.registered = op.Key[len("model/"):], true
 	}
+	return ch
 }
 
 // WALEpoch returns the replication leadership epoch last seen in the lake's
@@ -173,13 +161,13 @@ func (l *Lake) SearchByVectorSpace(ctx context.Context, space string, v tensor.V
 	if space == "" {
 		space = "behavior"
 	}
-	raw, ok := l.qcache.get(space, v, k)
+	raw, gen, ok := l.qcache.get(space, v, k)
 	if !ok {
 		raw, err = cs.SearchByVectorContext(ctx, v, k)
 		if err != nil {
 			return nil, err
 		}
-		l.qcache.put(space, v, k, raw)
+		l.qcache.put(gen, space, v, k, raw)
 	}
 	return raw, nil
 }

@@ -148,9 +148,9 @@ func (l *Lake) QueryCacheStats() (hits, misses uint64) {
 	return l.qcache.stats()
 }
 
-// SearchTask ranks models by behavioural fit to labeled task examples. The
-// first task search after a reopen materializes the deferred roster (see
-// ensureTaskRoster); answers are identical to an eagerly built roster
+// SearchTask ranks models by behavioural fit to labeled task examples. It
+// first loads the models queued on the roster since the last task search
+// (see ensureTaskRoster); answers are identical to an eagerly built roster
 // because task ranking sorts by score with ID tie-breaks, independent of
 // roster order.
 func (l *Lake) SearchTask(examples []search.TaskExample, k int) ([]search.Hit, error) {

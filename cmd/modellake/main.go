@@ -353,7 +353,7 @@ func cmdGraph(args []string) error {
 		return err
 	}
 	defer lk.Close()
-	g, err := lk.VersionGraph()
+	g, err := lk.VersionGraphContext(context.Background())
 	if err != nil {
 		return err
 	}
@@ -374,7 +374,7 @@ func cmdDocgen(args []string) error {
 		return err
 	}
 	defer lk.Close()
-	draft, err := lk.GenerateCard(*id)
+	draft, err := lk.GenerateCardContext(context.Background(), *id)
 	if err != nil {
 		return err
 	}
@@ -413,7 +413,7 @@ func cmdAudit(args []string) error {
 		}
 		flagged[parts[0]] = reason
 	}
-	rep, err := lk.Audit(*id, flagged)
+	rep, err := lk.AuditContext(context.Background(), *id, flagged)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -63,9 +64,10 @@ func main() {
 	}
 	fmt.Printf("%d true descendants should inherit the risk\n\n", len(trueDescendants))
 
+	ctx := context.Background()
 	caught, missed := 0, 0
 	for i := range pop.Members {
-		rep, err := lk.Audit(idOf[i], flagged)
+		rep, err := lk.AuditContext(ctx, idOf[i], flagged)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -92,7 +94,7 @@ func main() {
 	if victim == "" {
 		victim = idOf[poisonedIdx]
 	}
-	rep, err := lk.Audit(victim, flagged)
+	rep, err := lk.AuditContext(ctx, victim, flagged)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -45,7 +46,7 @@ func main() {
 	}
 
 	// Recovered graph.
-	g, err := lk.VersionGraph()
+	g, err := lk.VersionGraphContext(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"modellake/internal/apps"
 	"modellake/internal/audit"
 	"modellake/internal/benchmark"
 	"modellake/internal/card"
@@ -72,8 +73,14 @@ type Cluster struct {
 
 	// benchmarks remembers the registered suite; benchmark registration is
 	// in-memory on each node, so a restarted leader needs it replayed.
+	// datasets holds the registered datasets' rows, which no node
+	// replicates, for the audit's training-claim check.
 	bmu        sync.Mutex
 	benchmarks map[string]*benchmark.Benchmark
+	datasets   map[string]*data.Dataset
+
+	apps   *apps.Apps
+	writes atomic.Uint64 // routed Ingest / IngestAll calls that have returned
 }
 
 // Open opens (or creates) a cluster under cfg.Dir.
@@ -97,7 +104,9 @@ func Open(cfg Config) (*Cluster, error) {
 		ring:       NewRing(cfg.Shards, cfg.Vnodes),
 		pol:        cfg.Retry,
 		benchmarks: map[string]*benchmark.Benchmark{},
+		datasets:   map[string]*data.Dataset{},
 	}
+	c.apps = lake.NewApplications(c, cfg.Lake)
 	for i := 0; i < cfg.Shards; i++ {
 		var fs *fault.FS
 		if i < len(cfg.LeaderFS) {
@@ -120,17 +129,15 @@ func Open(cfg Config) (*Cluster, error) {
 // seedIDCounter scans every shard for the highest minted "m-%06d" ID so a
 // reopened cluster continues the sequence instead of colliding.
 func (c *Cluster) seedIDCounter() error {
+	recs, err := c.Records()
+	if err != nil {
+		return fmt.Errorf("cluster: seed ID counter: %w", err)
+	}
 	var max uint64
-	for _, s := range c.shards {
-		recs, err := readFrom(context.Background(), s, c.pol, (*lake.Lake).Records)
-		if err != nil {
-			return fmt.Errorf("cluster: seed ID counter: %w", err)
-		}
-		for _, rec := range recs {
-			var n uint64
-			if _, err := fmt.Sscanf(rec.ID, "m-%06d", &n); err == nil && n > max {
-				max = n
-			}
+	for _, rec := range recs {
+		var n uint64
+		if _, err := fmt.Sscanf(rec.ID, "m-%06d", &n); err == nil && n > max {
+			max = n
 		}
 	}
 	c.nextID.Store(max)
@@ -187,6 +194,7 @@ func (c *Cluster) Ingest(m *model.Model, crd *card.Card, opts registry.RegisterO
 // already handed to the leader's group commit runs to completion (the lake's
 // commit is not interruptible mid-batch).
 func (c *Cluster) IngestContext(ctx context.Context, m *model.Model, crd *card.Card, opts registry.RegisterOptions) (*registry.Record, error) {
+	defer c.writes.Add(1)
 	if opts.ID == "" {
 		opts.ID = c.MintID()
 	}
@@ -205,6 +213,7 @@ func (c *Cluster) IngestAll(items []lake.IngestItem, parallelism int) ([]*regist
 // items. Cancellation is checked at the shard boundary: batches not yet
 // submitted fail with ctx.Err(), already-running batches complete.
 func (c *Cluster) IngestAllContext(ctx context.Context, items []lake.IngestItem, parallelism int) ([]*registry.Record, []error) {
+	defer c.writes.Add(1)
 	recs := make([]*registry.Record, len(items))
 	errs := make([]error, len(items))
 	groups := make([][]int, len(c.shards))
@@ -260,8 +269,11 @@ func (c *Cluster) IngestAllContext(ctx context.Context, items []lake.IngestItem,
 
 // RegisterDataset persists the dataset on every shard leader, so each
 // shard's lineage reasoning (and replicas, via shipping) sees the full
-// dataset version graph.
+// dataset version graph, and keeps its rows for the audit.
 func (c *Cluster) RegisterDataset(ds *data.Dataset) error {
+	c.bmu.Lock()
+	c.datasets[ds.ID] = ds
+	c.bmu.Unlock()
 	for _, s := range c.shards {
 		if _, err := writeTo(context.Background(), s, func(l *lake.Lake) (struct{}, error) {
 			return struct{}{}, l.RegisterDataset(ds)
@@ -297,13 +309,15 @@ func (c *Cluster) RegisterBenchmark(b *benchmark.Benchmark) {
 	}
 }
 
-func (c *Cluster) benchmarkList() []*benchmark.Benchmark {
+// Benchmarks lists the registered benchmarks sorted by ID.
+func (c *Cluster) Benchmarks() []*benchmark.Benchmark {
 	c.bmu.Lock()
 	defer c.bmu.Unlock()
 	out := make([]*benchmark.Benchmark, 0, len(c.benchmarks))
 	for _, b := range c.benchmarks {
 		out = append(out, b)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -378,14 +392,6 @@ func (c *Cluster) Score(modelID, benchID string) (float64, error) {
 	})
 }
 
-// Cite builds a citation for the model from its owning shard. The embedded
-// version graph is the owning shard's reconstruction.
-func (c *Cluster) Cite(id string) (provenance.Citation, error) {
-	return readFrom(context.Background(), c.owner(id), c.pol, func(l *lake.Lake) (provenance.Citation, error) {
-		return l.Cite(id)
-	})
-}
-
 // ProvenanceWhy explains an entity from the shard that recorded it. Model
 // entities route by ID; anything else is asked of each shard in turn.
 func (c *Cluster) ProvenanceWhy(entity string) (*provenance.Explanation, error) {
@@ -405,22 +411,6 @@ func (c *Cluster) ProvenanceWhy(entity string) (*provenance.Explanation, error) 
 		lastErr = err
 	}
 	return nil, lastErr
-}
-
-// GenerateCardContext drafts documentation for the model on its owning
-// shard. Peer statistics come from that shard's population.
-func (c *Cluster) GenerateCardContext(ctx context.Context, id string) (*docgen.Draft, error) {
-	return readFrom(ctx, c.owner(id), c.pol, func(l *lake.Lake) (*docgen.Draft, error) {
-		return l.GenerateCardContext(ctx, id)
-	})
-}
-
-// AuditContext audits the model on its owning shard. Comparison cohorts
-// come from that shard's population.
-func (c *Cluster) AuditContext(ctx context.Context, id string, flagged map[string]string) (*audit.Report, error) {
-	return readFrom(ctx, c.owner(id), c.pol, func(l *lake.Lake) (*audit.Report, error) {
-		return l.AuditContext(ctx, id, flagged)
-	})
 }
 
 // --- Scatter-gather search --------------------------------------------
@@ -529,54 +519,80 @@ func (c *Cluster) SearchByModelMany(ctx context.Context, ids []string, space str
 	return hits, errs
 }
 
-// --- MLQL and graphs --------------------------------------------------
+// --- Catalog and applications -----------------------------------------
+
+// The catalog and the §6 applications run over the cluster as one
+// population (see internal/apps): records gather from every shard, each
+// model, card and score reads from its owner, so the answers are the ones a
+// single lake holding the union gives.
+
+// Model returns a handle on model id from its owning shard.
+func (c *Cluster) Model(id string) (*model.Handle, error) {
+	return readFrom(context.Background(), c.owner(id), c.pol, func(l *lake.Lake) (*model.Handle, error) {
+		return l.Model(id)
+	})
+}
+
+// DatasetLineage returns the registered datasets' (ID → parent ID) map.
+// RegisterDataset writes every dataset to every shard, so the first shard's
+// copy is the cluster's.
+func (c *Cluster) DatasetLineage() (map[string]string, error) {
+	return readFrom(context.Background(), c.shards[0], c.pol, (*lake.Lake).DatasetLineage)
+}
+
+// Dataset returns a dataset registered through this cluster since it
+// opened, or nil.
+func (c *Cluster) Dataset(id string) *data.Dataset {
+	c.bmu.Lock()
+	defer c.bmu.Unlock()
+	return c.datasets[id]
+}
+
+// Generation changes whenever the cluster's population may have: it is the
+// count of routed writes that have returned plus the sum of the shards'
+// leadership epochs, and both only grow.
+func (c *Cluster) Generation() uint64 {
+	g := c.writes.Load()
+	for i := range c.shards {
+		g += c.ShardEpoch(i)
+	}
+	return g
+}
 
 // Query parses and executes an MLQL query against the cluster.
 func (c *Cluster) Query(q string) (*mlql.Result, error) {
 	return c.QueryContext(context.Background(), q)
 }
 
-// QueryContext runs MLQL against the cluster catalog: candidate rows and
-// rankings are gathered per shard and merged with the same comparators the
-// single-node catalog uses.
+// QueryContext runs MLQL against the cluster's catalog.
 func (c *Cluster) QueryContext(ctx context.Context, q string) (*mlql.Result, error) {
-	return mlql.RunContext(ctx, q, &clusterCatalog{c: c, ctx: ctx})
+	return c.apps.Query(ctx, q)
 }
 
-// Catalog exposes the cluster's MLQL catalog adapter.
-func (c *Cluster) Catalog() mlql.Catalog { return &clusterCatalog{c: c, ctx: context.Background()} }
+// Catalog exposes the cluster's MLQL catalog.
+func (c *Cluster) Catalog() mlql.Catalog { return c.apps.Catalog(context.Background()) }
 
-// VersionGraph is VersionGraphContext with a background context.
-func (c *Cluster) VersionGraph() (*version.Graph, error) {
-	return c.VersionGraphContext(context.Background())
-}
-
-// VersionGraphContext merges the per-shard Model Graph reconstructions:
-// nodes are the union, edges the concatenation (each shard only proposes
-// edges among its own models, so edge sets are disjoint). Cross-shard
-// parent/child pairs are not recovered — content-based edge inference
-// needs both endpoints' weights on one node — which is the documented
-// fidelity cost of sharding this reconstruction.
+// VersionGraphContext reconstructs (and caches) the Model Graph over every
+// open-weights model in the cluster.
 func (c *Cluster) VersionGraphContext(ctx context.Context) (*version.Graph, error) {
-	g := &version.Graph{}
-	for _, s := range c.shards {
-		sg, err := readFrom(ctx, s, c.pol, func(l *lake.Lake) (*version.Graph, error) {
-			return l.VersionGraphContext(ctx)
-		})
-		if err != nil {
-			return nil, err
-		}
-		g.Nodes = append(g.Nodes, sg.Nodes...)
-		g.Edges = append(g.Edges, sg.Edges...)
-	}
-	sort.Strings(g.Nodes)
-	sort.Slice(g.Edges, func(i, j int) bool {
-		if g.Edges[i].Parent != g.Edges[j].Parent {
-			return g.Edges[i].Parent < g.Edges[j].Parent
-		}
-		return g.Edges[i].Child < g.Edges[j].Child
-	})
-	return g, nil
+	return c.apps.VersionGraph(ctx)
+}
+
+// Cite builds a version-graph-anchored citation for the model. Its Snapshot
+// is the model record's sequence number on the owning shard.
+func (c *Cluster) Cite(id string) (provenance.Citation, error) {
+	return c.apps.Cite(context.Background(), id)
+}
+
+// GenerateCardContext drafts documentation for the model from the whole
+// cluster's population.
+func (c *Cluster) GenerateCardContext(ctx context.Context, id string) (*docgen.Draft, error) {
+	return c.apps.Draft(ctx, id)
+}
+
+// AuditContext audits the model against the whole cluster's population.
+func (c *Cluster) AuditContext(ctx context.Context, id string, flagged map[string]string) (*audit.Report, error) {
+	return c.apps.Audit(ctx, id, flagged)
 }
 
 // --- Operations -------------------------------------------------------
@@ -660,7 +676,7 @@ func (c *Cluster) KillShardLeader(i int) { c.shards[i].KillLeader() }
 // unreplicated tail truncated at the promotion point); a node that is still
 // the rightful leader reopens as leader.
 func (c *Cluster) RestartShardLeader(i int) error {
-	return c.shards[i].RestartLeader(nil, c.benchmarkList())
+	return c.shards[i].RestartLeader(nil, c.Benchmarks())
 }
 
 // FlushReplication blocks until every live replica of every shard has

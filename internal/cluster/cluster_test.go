@@ -3,6 +3,8 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -12,7 +14,9 @@ import (
 	"modellake/internal/lake"
 	"modellake/internal/lakegen"
 	"modellake/internal/obs"
+	"modellake/internal/raceflag"
 	"modellake/internal/registry"
+	"modellake/internal/version"
 )
 
 // testPopulation generates a small synthetic lake population.
@@ -390,4 +394,89 @@ func TestClusterReopenDrainBuildsSegments(t *testing.T) {
 	if docs != single.TierMemStats().KeywordMapDocs {
 		t.Fatalf("cluster segments hold %d docs, the single lake's map tier %d", docs, single.TierMemStats().KeywordMapDocs)
 	}
+}
+
+// TestClusterVersionGraphCache: a cluster caches its Model Graph under its
+// generation. The graph after an ingest holds the new model, a graph built
+// across an ingest is never served once the ingest has returned, and a
+// promotion retires the cached graph.
+func TestClusterVersionGraphCache(t *testing.T) {
+	pop := testPopulation(t, 31, 3, 4)
+	c, err := Open(Config{Dir: t.TempDir(), Shards: 2, Lake: lake.Config{Seed: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fillCluster(t, c, pop)
+	ctx := context.Background()
+	graph := func() *version.Graph {
+		t.Helper()
+		g, err := c.VersionGraphContext(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	n := 0
+	ingest := func() string {
+		t.Helper()
+		m := *pop.Members[0].Model
+		m.ID = ""
+		n++
+		rec, err := c.Ingest(&m, nil, registry.RegisterOptions{Name: fmt.Sprintf("twin-%d", n)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec.ID
+	}
+
+	g := graph()
+	if graph() != g {
+		t.Fatal("an unchanged cluster rebuilt its graph")
+	}
+	id := ingest()
+	after := graph()
+	if after == g || !slices.Contains(after.Nodes, id) {
+		t.Fatalf("the graph after the ingest of %s is the old one (%v) or leaves it out", id, after == g)
+	}
+	if graph() != after {
+		t.Fatal("the graph after the ingest was not cached")
+	}
+
+	trials := 40
+	if raceflag.Enabled || testing.Short() {
+		trials = 8
+	}
+	for trial := 0; trial < trials; trial++ {
+		ingest() // retires the cached graph, so the next call builds
+		built := make(chan error)
+		go func() {
+			_, err := c.VersionGraphContext(ctx)
+			built <- err
+		}()
+		time.Sleep(time.Duration(trial%10) * 100 * time.Microsecond)
+		id := ingest()
+		if err := <-built; err != nil {
+			t.Fatal(err)
+		}
+		if g := graph(); !slices.Contains(g.Nodes, id) {
+			t.Fatalf("trial %d: the graph after the ingest of %s leaves it out", trial, id)
+		}
+	}
+
+	before := graph()
+	fctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if err := c.FlushReplication(fctx); err != nil {
+		t.Fatal(err)
+	}
+	c.KillShardLeader(0)
+	if got := c.ShardEpoch(0); got != 1 {
+		t.Fatalf("shard 0 epoch after the kill = %d, want 1 (promotion)", got)
+	}
+	promoted := graph()
+	if promoted == before {
+		t.Fatal("the graph cached before the promotion is still served")
+	}
+	sameJSON(t, "graph across the promotion", before, promoted)
 }

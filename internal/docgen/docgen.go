@@ -37,9 +37,11 @@ type Peer struct {
 
 // Generator drafts cards from lake context.
 type Generator struct {
-	Peers      []Peer
-	Graph      *version.Graph // recovered version graph over peer IDs
-	Runner     *benchmark.Runner
+	Peers []Peer
+	Graph *version.Graph // recovered version graph over peer IDs
+	// Score measures a model on a benchmark (a benchmark.Runner's Score
+	// fits); nil skips the metrics.
+	Score      func(*model.Handle, *benchmark.Benchmark) (float64, error)
 	Benchmarks []*benchmark.Benchmark
 	// Behavior embeds models for the nearest-neighbour domain vote; nil
 	// disables the vote.
@@ -147,12 +149,12 @@ func (g *Generator) Draft(target *model.Handle, existing *card.Card) (*Draft, er
 	}
 
 	// Metrics: run the lake benchmarks.
-	if g.Runner != nil && len(g.Benchmarks) > 0 {
+	if g.Score != nil && len(g.Benchmarks) > 0 {
 		if d.Card.Metrics == nil {
 			d.Card.Metrics = map[string]float64{}
 		}
 		for _, b := range g.Benchmarks {
-			s, err := g.Runner.Score(target, b)
+			s, err := g.Score(target, b)
 			if err != nil {
 				continue
 			}

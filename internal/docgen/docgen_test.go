@@ -49,7 +49,7 @@ func buildContext(t *testing.T, seed uint64, dropProb float64) (*lakegen.Populat
 	gen := &Generator{
 		Peers:      peers,
 		Graph:      graph,
-		Runner:     benchmark.NewRunner(kvstore.OpenMemory()),
+		Score:      benchmark.NewRunner(kvstore.OpenMemory()).Score,
 		Benchmarks: benches,
 		Behavior:   embedding.NewBehaviorEmbedder(pop.Spec.Dim, 32, 8, 9),
 		ProbeSeed:  7,
@@ -177,7 +177,7 @@ func TestDraftFlagsMisinformation(t *testing.T) {
 func TestDraftWithoutGraphOrBenchmarks(t *testing.T) {
 	pop, gen := buildContext(t, 305, 0.0)
 	gen.Graph = nil
-	gen.Runner = nil
+	gen.Score = nil
 	gen.Benchmarks = nil
 	m := pop.Members[2]
 	d, err := gen.Draft(model.NewHandle(m.Model), nil)

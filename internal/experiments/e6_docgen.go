@@ -57,7 +57,7 @@ func RunE6(seed uint64) (*Table, error) {
 		gen := &docgen.Generator{
 			Peers:     peers,
 			Graph:     graph,
-			Runner:    benchmark.NewRunner(kvstore.OpenMemory()),
+			Score:     benchmark.NewRunner(kvstore.OpenMemory()).Score,
 			Behavior:  embedding.NewBehaviorEmbedder(spec.Dim, 32, 8, seed),
 			ProbeSeed: seed + 1,
 		}

@@ -108,31 +108,61 @@ func TestE3Shape(t *testing.T) {
 }
 
 func TestE4ShapeSmall(t *testing.T) {
-	// The full E4 sweeps to 50k vectors; shape-check a trimmed variant by
-	// reading only the first rows of the real run in -short mode.
+	// The full E4 sweeps to 50k vectors; the shape check runs the sweep to
+	// 20k and reads the work HNSW does off its visit counter rather than the
+	// clock, so it holds on any machine. The wall-clock bars are in
+	// TestE4SpeedupSmoke.
 	if testing.Short() {
 		t.Skip("E4 takes seconds; skipped in -short")
+	}
+	tab, err := runE4(testSeed(), e4Sizes[:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rows 0..2 sweep n; rows 3..6 are the efSearch ablation at n=20k.
+	const largestN = 2
+	if rec := cell(t, tab, largestN, 6); rec < 0.85 {
+		t.Fatalf("HNSW recall at largest n = %v, want >= 0.85", rec)
+	}
+	// Visits are a falling fraction of n at every step, and over the sweep
+	// they grow by less than the square root of n's growth: sublinear.
+	for r := 1; r <= largestN; r++ {
+		n0, n1 := cell(t, tab, r-1, 0), cell(t, tab, r, 0)
+		v0, v1 := cell(t, tab, r-1, 3), cell(t, tab, r, 3)
+		if v1/n1 >= v0/n0 {
+			t.Fatalf("HNSW visits/query as a fraction of n did not fall: %v/%v -> %v/%v", v0, n0, v1, n1)
+		}
+	}
+	nGrowth := cell(t, tab, largestN, 0) / cell(t, tab, 0, 0)
+	if vGrowth := cell(t, tab, largestN, 3) / cell(t, tab, 0, 3); vGrowth*vGrowth >= nGrowth {
+		t.Fatalf("HNSW visits/query grew %.2fx while n grew %.0fx: not sublinear", vGrowth, nGrowth)
+	}
+	// efSearch ablation: recall non-decreasing in ef, and the largest ef
+	// reaches high recall.
+	if lo, hi := cell(t, tab, largestN+1, 6), cell(t, tab, largestN+4, 6); hi < lo || hi < 0.95 {
+		t.Fatalf("efSearch ablation shape violated: ef16=%v ef160=%v", lo, hi)
+	}
+}
+
+// TestE4SpeedupSmoke holds the full E4 sweep to its wall-clock bars: HNSW at
+// least 2x faster than the flat scan at the largest n, and the speedup
+// growing with n. A ratio of two timings on a shared machine is noisy, so it
+// runs only when MODELLAKE_SCALE_SMOKE is set (the CI bench job sets it).
+func TestE4SpeedupSmoke(t *testing.T) {
+	if os.Getenv("MODELLAKE_SCALE_SMOKE") == "" {
+		t.Skip("set MODELLAKE_SCALE_SMOKE=1 to run the E4 wall-clock bars")
 	}
 	tab, err := RunE4(testSeed())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rows 0..3 sweep n; rows 4..7 are the efSearch ablation at n=20k.
-	const largestN = 3
-	if rec := cell(t, tab, largestN, 5); rec < 0.85 {
-		t.Fatalf("HNSW recall at largest n = %v, want >= 0.85", rec)
-	}
-	if sp := cell(t, tab, largestN, 3); sp < 2 {
+	largestN := len(e4Sizes) - 1
+	if sp := cell(t, tab, largestN, 4); sp < 2 {
 		t.Fatalf("HNSW speedup at largest n = %vx, want >= 2x", sp)
 	}
 	// Speedup grows with n.
-	if spFirst, spLast := cell(t, tab, 0, 3), cell(t, tab, largestN, 3); spLast <= spFirst {
+	if spFirst, spLast := cell(t, tab, 0, 4), cell(t, tab, largestN, 4); spLast <= spFirst {
 		t.Fatalf("speedup not growing with n: %v -> %v", spFirst, spLast)
-	}
-	// efSearch ablation: recall non-decreasing in ef, and the largest ef
-	// reaches high recall.
-	if lo, hi := cell(t, tab, 4, 5), cell(t, tab, 7, 5); hi < lo || hi < 0.95 {
-		t.Fatalf("efSearch ablation shape violated: ef16=%v ef160=%v", lo, hi)
 	}
 }
 
@@ -457,7 +487,7 @@ func TestE15Shape(t *testing.T) {
 		"single ingest": res.SingleIngestNs, "cluster ingest": res.ClusterIngestNs,
 		"single keyword": res.SingleKeywordNs, "cluster keyword": res.ClusterKeywordNs,
 		"failover keyword": res.FailoverKeywordNs,
-		"single vector": res.SingleVectorNs, "cluster vector": res.ClusterVectorNs,
+		"single vector":    res.SingleVectorNs, "cluster vector": res.ClusterVectorNs,
 		"failover vector": res.FailoverVectorNs,
 	} {
 		if ns <= 0 {

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"modellake/internal/obs"
 	"modellake/internal/search"
 )
 
@@ -241,4 +242,50 @@ func TestStalePostingsSegmentNotAdopted(t *testing.T) {
 	if len(hits) != 1 || hits[0].ID != probe {
 		t.Fatalf("edited card not served after reopen: %+v", hits)
 	}
+}
+
+// TestKeywordTierGaugesSumOpenLakes: keyword_map_docs and
+// keyword_segment_docs count every open lake in the process, so two open
+// lakes read as their sum, and once one closes they read the other's
+// numbers.
+func TestKeywordTierGaugesSumOpenLakes(t *testing.T) {
+	gauges := func() (mapDocs, segDocs int) {
+		return int(obs.Default().Gauge("keyword_map_docs").Value()),
+			int(obs.Default().Gauge("keyword_segment_docs").Value())
+	}
+	map0, seg0 := gauges()
+	pop := population(t, 71)
+	merged, err := Open(Config{Seed: 1, KeywordMergeThreshold: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer merged.Close()
+	buffered, err := Open(Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer buffered.Close()
+	fill(t, merged, pop)
+	fill(t, buffered, pop)
+	m, b := merged.TierMemStats(), buffered.TierMemStats()
+	if m.KeywordSegmentDocs == 0 || b.KeywordMapDocs == 0 {
+		t.Fatalf("vacuous fixture: %d segment docs in one lake, %d map docs in the other",
+			m.KeywordSegmentDocs, b.KeywordMapDocs)
+	}
+	want := func(label string, mapDocs, segDocs int) {
+		t.Helper()
+		if gm, gs := gauges(); gm-map0 != mapDocs || gs-seg0 != segDocs {
+			t.Fatalf("%s: gauges moved by %d map / %d segment docs, want %d / %d",
+				label, gm-map0, gs-seg0, mapDocs, segDocs)
+		}
+	}
+	want("both open", m.KeywordMapDocs+b.KeywordMapDocs, m.KeywordSegmentDocs+b.KeywordSegmentDocs)
+	if err := merged.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want("one closed", b.KeywordMapDocs, b.KeywordSegmentDocs)
+	if err := buffered.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want("both closed", 0, 0)
 }

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"sync"
 
+	"modellake/internal/apps"
 	"modellake/internal/benchmark"
 	"modellake/internal/blob"
 	"modellake/internal/card"
@@ -23,7 +24,6 @@ import (
 	"modellake/internal/provenance"
 	"modellake/internal/registry"
 	"modellake/internal/search"
-	"modellake/internal/version"
 )
 
 // Lake-level metrics. These time the facade operations end to end (storage
@@ -74,14 +74,14 @@ type Lake struct {
 	taskSearch *search.TaskSearcher
 	qcache     *queryCache // nil when disabled
 	vecNS      string      // namespace stamped into persisted vec records
+	apps       *apps.Apps  // catalog and §6 applications over the lake itself
 
 	mu         sync.RWMutex
 	closed     bool
 	modelCache map[string]*model.Model // loaded models, and closed-weights ones' only copy
 	benchmarks map[string]*benchmark.Benchmark
 	datasets   map[string]*data.Dataset
-	graph      *version.Graph // cached reconstruction; nil when stale
-	gen        uint64         // population generation: bumped by every commit that registers a model
+	gen        uint64 // population generation: bumped by every commit that registers a model
 
 	// Derived state that loads on first use (see commit): behaviour-indexed
 	// ids whose roster handles are not loaded yet, and the cards a reopen
@@ -242,6 +242,14 @@ func (l *Lake) RegisterDataset(ds *data.Dataset) error {
 		return fmt.Errorf("lake: persist dataset %s: %w", ds.ID, err)
 	}
 	return nil
+}
+
+// Dataset returns a dataset registered with this lake since it opened, or
+// nil: the rows are held in memory only.
+func (l *Lake) Dataset(id string) *data.Dataset {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.datasets[id]
 }
 
 // DatasetLineage returns the persisted (ID → parent ID) map of all

@@ -1,6 +1,7 @@
 package lake
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -103,7 +104,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	// Version graph covers all models.
-	g, err := l.VersionGraph()
+	g, err := l.VersionGraphContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	// Docgen drafts a card for a model.
-	draft, err := l.GenerateCard(ids[legalBase])
+	draft, err := l.GenerateCardContext(context.Background(), ids[legalBase])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	// Audit runs cleanly.
-	rep, err := l.Audit(ids[legalBase], nil)
+	rep, err := l.AuditContext(context.Background(), ids[legalBase], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +328,7 @@ func TestDurableLakeReopens(t *testing.T) {
 	if _, err := l.SearchByModel(firstID, "behavior", 3); err != nil {
 		t.Fatalf("behaviour index not rehydrated: %v", err)
 	}
-	if _, err := l.VersionGraph(); err != nil {
+	if _, err := l.VersionGraphContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -478,7 +479,7 @@ func TestAuditRefutesFalseTrainingClaim(t *testing.T) {
 	if err := l.PutCard(ids[foreign], lyingCard); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := l.Audit(ids[foreign], nil)
+	rep, err := l.AuditContext(context.Background(), ids[foreign], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +494,7 @@ func TestAuditRefutesFalseTrainingClaim(t *testing.T) {
 	}
 
 	// The honest base passes A6.
-	repBase, err := l.Audit(ids[base], nil)
+	repBase, err := l.AuditContext(context.Background(), ids[base], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,7 +598,7 @@ func TestLakeAtScale(t *testing.T) {
 	}
 
 	// Version graph over 150 models still beats random handily.
-	g, err := l.VersionGraph()
+	g, err := l.VersionGraphContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 	"modellake/internal/kvstore"
 	"modellake/internal/model"
 	"modellake/internal/nn"
-	"modellake/internal/obs"
 	"modellake/internal/provenance"
 	"modellake/internal/registry"
 	"modellake/internal/search"
@@ -82,6 +81,7 @@ func Open(cfg Config) (*Lake, error) {
 		benchmarks: map[string]*benchmark.Benchmark{},
 		datasets:   map[string]*data.Dataset{},
 	}
+	l.apps = NewApplications(l, cfg)
 	// The namespace folds in every config knob that changes embedder
 	// output, so a lake reopened with different embedding parameters can
 	// never read vec records computed under the old ones.
@@ -98,17 +98,10 @@ func Open(cfg Config) (*Lake, error) {
 
 	// Rehydrate indexes from a previously persisted lake.
 	if err := l.rehydrate(); err != nil {
+		l.keyword.Close()
 		kv.Close()
 		return nil, err
 	}
-	obs.Default().GaugeFunc("keyword_map_docs", func() float64 {
-		m, _ := l.keyword.TierDocs()
-		return float64(m)
-	})
-	obs.Default().GaugeFunc("keyword_segment_docs", func() float64 {
-		_, g := l.keyword.TierDocs()
-		return float64(g)
-	})
 	return l, nil
 }
 

@@ -27,9 +27,9 @@ type change struct {
 //
 //  1. Under l.mu: closed-weights models go into modelCache, a cached copy of
 //     any other registered id is dropped, and if a model registered, the
-//     graph slot is cleared and the population generation l.gen bumped —
-//     first, so a closed-weights model's copy is in place before step 3
-//     lets a roster drain look for it.
+//     population generation l.gen is bumped, which retires the cached
+//     version graph — first, so a closed-weights model's copy is in place
+//     before step 3 lets a roster drain look for it.
 //  2. The keyword index and both content indexes take the cards and rows.
 //  3. Behaviour-indexed ids go onto the task-roster backlog.
 //  4. Last, and only if some change carried vectors, the query cache is
@@ -49,7 +49,6 @@ func (l *Lake) commit(chs []change) error {
 		registered = registered || ch.registered
 	}
 	if registered {
-		l.graph = nil
 		l.gen++
 	}
 	l.mu.Unlock()

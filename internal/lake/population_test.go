@@ -8,7 +8,9 @@ package lake
 import (
 	"context"
 	"fmt"
+	"maps"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -28,19 +30,29 @@ import (
 type landing struct {
 	closedLive bool // the lake holds the subject's live closed-weights copy
 	indexed    bool // the subject's vectors are in this lake's content indexes
-	primed     bool // the graph slot and query cache were filled before the write
+	primed     bool // the version graph and query cache were filled before the write
 }
 
-// primeDerived fills the graph slot with a sentinel and leaves one query-cache
-// entry, so a check can tell which of them a write cleared. It returns the
-// sentinel and the population generation before the write.
+// primeDerived caches a version graph and leaves one query-cache entry, so a
+// check can tell which of them a write retired. Building the graph loads
+// models, so the model cache is put back as it was. It returns the cached
+// graph and the population generation before the write.
 func primeDerived(t *testing.T, l *Lake) (*version.Graph, uint64) {
 	t.Helper()
-	g := &version.Graph{}
 	l.mu.Lock()
-	l.graph = g
+	models := maps.Clone(l.modelCache)
+	l.mu.Unlock()
+	g, err := l.VersionGraphContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	l.modelCache = models
 	gen := l.gen
 	l.mu.Unlock()
+	if again, err := l.VersionGraphContext(context.Background()); err != nil || again != g {
+		t.Fatalf("the version graph was not cached (%v)", err)
+	}
 	v := qcVec(1, 4)
 	l.qcache.invalidate()
 	_, qgen, _ := l.qcache.get("behavior", v, 1)
@@ -73,10 +85,10 @@ func hitCount(hits []search.Hit, id string) int {
 	return n
 }
 
-// checkLanded holds l to what a write of subject id must have done. The
-// state checks come first: the searches after them load models and fill
-// the query cache.
-func checkLanded(t *testing.T, label string, l *Lake, id, word string, want landing, gen0 uint64, examples []search.TaskExample) {
+// checkLanded holds l to what a write of subject id must have done; g0 and
+// gen0 are what primeDerived returned before it. The state checks come
+// first: the searches after them load models and fill the query cache.
+func checkLanded(t *testing.T, label string, l *Lake, id, word string, want landing, g0 *version.Graph, gen0 uint64, examples []search.TaskExample) {
 	t.Helper()
 	wantCached := []string(nil)
 	if want.closedLive {
@@ -85,14 +97,8 @@ func checkLanded(t *testing.T, label string, l *Lake, id, word string, want land
 	if got := cachedModels(l); fmt.Sprint(got) != fmt.Sprint(wantCached) {
 		t.Fatalf("%s: model cache holds %v, want %v", label, got, wantCached)
 	}
-	l.mu.RLock()
-	g, gen := l.graph, l.gen
-	l.mu.RUnlock()
-	if g != nil {
-		t.Fatalf("%s: the version-graph slot survived a registering write", label)
-	}
 	if want.primed {
-		if gen <= gen0 {
+		if gen := l.Generation(); gen <= gen0 {
 			t.Fatalf("%s: population generation %d did not advance from %d", label, gen, gen0)
 		}
 		// Only vectors change a content-search answer.
@@ -129,6 +135,19 @@ func checkLanded(t *testing.T, label string, l *Lake, id, word string, want land
 	}
 	if rl, bl := l.taskSearch.Len(), l.behaviorCS.Len(); rl != bl {
 		t.Fatalf("%s: task roster holds %d models for %d behaviour rows", label, rl, bl)
+	}
+	// The generation moved, so the graph cached before the write is retired.
+	// The subject is a node of the next one when this lake can read its
+	// weights, which is when it indexed them.
+	g, err := l.VersionGraphContext(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.primed && g == g0 {
+		t.Fatalf("%s: the cached version graph survived a registering write", label)
+	}
+	if in := slices.Contains(g.Nodes, id); in != want.indexed {
+		t.Fatalf("%s: subject in the version graph = %v, want %v", label, in, want.indexed)
 	}
 }
 
@@ -198,22 +217,24 @@ func TestEveryWritePathLandsOnce(t *testing.T) {
 			}
 			defer l.Close()
 			ingestBackground(l)
-			_, gen0 := primeDerived(t, l)
+			g0, gen0 := primeDerived(t, l)
 			id := ingest(l, subject(closed))
-			checkLanded(t, "ingest", l, id, "zanzibar", landing{closedLive: closed, indexed: true, primed: true}, gen0, examples)
+			checkLanded(t, "ingest", l, id, "zanzibar", landing{closedLive: closed, indexed: true, primed: true}, g0, gen0, examples)
 
 			// A card edit touches the keyword index and nothing else.
 			cached := cachedModels(l)
-			sentinel, gen0 := primeDerived(t, l)
+			primed, gen0 := primeDerived(t, l)
 			if err := l.PutCard(id, &card.Card{Name: "subject", Description: "quixotic"}); err != nil {
 				t.Fatal(err)
 			}
-			l.mu.RLock()
-			g, gen := l.graph, l.gen
-			l.mu.RUnlock()
-			if g != sentinel || gen != gen0 || l.qcache.len() != 1 || fmt.Sprint(cachedModels(l)) != fmt.Sprint(cached) {
+			g, err := l.VersionGraphContext(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen := l.Generation()
+			if g != primed || gen != gen0 || l.qcache.len() != 1 || fmt.Sprint(cachedModels(l)) != fmt.Sprint(cached) {
 				t.Fatalf("PutCard moved derived state: graph kept %v, gen %d → %d, %d cache entries",
-					g == sentinel, gen0, gen, l.qcache.len())
+					g == primed, gen0, gen, l.qcache.len())
 			}
 			for word, want := range map[string]int{"quixotic": 1, "zanzibar": 0} {
 				if hits := l.SearchKeyword(word, 5); hitCount(hits, id) != want || len(hits) != want {
@@ -227,7 +248,7 @@ func TestEveryWritePathLandsOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer l.Close()
-			_, gen0 := primeDerived(t, l)
+			g0, gen0 := primeDerived(t, l)
 			batch := append(items(background), subject(closed))
 			if len(batch) <= ingestChunkModels {
 				t.Fatalf("batch of %d does not cross a chunk boundary", len(batch))
@@ -238,20 +259,20 @@ func TestEveryWritePathLandsOnce(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			checkLanded(t, "ingestall", l, recs[len(recs)-1].ID, "zanzibar", landing{closedLive: closed, indexed: true, primed: true}, gen0, examples)
+			checkLanded(t, "ingestall", l, recs[len(recs)-1].ID, "zanzibar", landing{closedLive: closed, indexed: true, primed: true}, g0, gen0, examples)
 		})
 		t.Run("follower/"+kind, func(t *testing.T) {
 			leader, follower := replicated(t)
 			defer leader.Close()
-			_, gen0 := primeDerived(t, follower)
+			g0, gen0 := primeDerived(t, follower)
 			id := ingest(leader, subject(closed))
 			shipAll(t, leader, follower)
 			// A closed-weights model's live copy and rows stay on its leader.
-			checkLanded(t, "follower", follower, id, "zanzibar", landing{indexed: !closed, primed: true}, gen0, examples)
+			checkLanded(t, "follower", follower, id, "zanzibar", landing{indexed: !closed, primed: true}, g0, gen0, examples)
 
 			// A page of score keys changes no population.
 			leader.RegisterBenchmark(&benchmark.Benchmark{ID: "b", DS: pop.Datasets[src.Truth.DatasetID]})
-			sentinel, gen0 := primeDerived(t, follower)
+			primed, gen0 := primeDerived(t, follower)
 			cached := cachedModels(follower)
 			off := follower.WALOffset()
 			for _, m := range background[:3] {
@@ -267,12 +288,14 @@ func TestEveryWritePathLandsOnce(t *testing.T) {
 			if follower.WALOffset() == off {
 				t.Fatal("no score page shipped")
 			}
-			follower.mu.RLock()
-			g, gen := follower.graph, follower.gen
-			follower.mu.RUnlock()
-			if g != sentinel || gen != gen0 || follower.qcache.len() != 1 || fmt.Sprint(cachedModels(follower)) != fmt.Sprint(cached) {
+			g, err := follower.VersionGraphContext(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen := follower.Generation()
+			if g != primed || gen != gen0 || follower.qcache.len() != 1 || fmt.Sprint(cachedModels(follower)) != fmt.Sprint(cached) {
 				t.Fatalf("a score page moved derived state: graph kept %v, gen %d → %d, %d cache entries",
-					g == sentinel, gen0, gen, follower.qcache.len())
+					g == primed, gen0, gen, follower.qcache.len())
 			}
 		})
 		t.Run("reopen/"+kind, func(t *testing.T) {
@@ -291,7 +314,7 @@ func TestEveryWritePathLandsOnce(t *testing.T) {
 			}
 			defer l.Close()
 			// Closed-weights behaviour does not survive a restart.
-			checkLanded(t, "reopen", l, id, "zanzibar", landing{indexed: !closed}, 0, examples)
+			checkLanded(t, "reopen", l, id, "zanzibar", landing{indexed: !closed}, nil, 0, examples)
 		})
 		t.Run("promoted/"+kind, func(t *testing.T) {
 			leader, follower := replicated(t)
@@ -301,9 +324,9 @@ func TestEveryWritePathLandsOnce(t *testing.T) {
 			if err := follower.Promote(true); err != nil {
 				t.Fatal(err)
 			}
-			_, gen0 := primeDerived(t, follower)
+			g0, gen0 := primeDerived(t, follower)
 			id := ingest(follower, subject(closed))
-			checkLanded(t, "promoted", follower, id, "zanzibar", landing{closedLive: closed, indexed: true, primed: true}, gen0, examples)
+			checkLanded(t, "promoted", follower, id, "zanzibar", landing{closedLive: closed, indexed: true, primed: true}, g0, gen0, examples)
 		})
 	}
 }
@@ -510,7 +533,7 @@ func TestVersionGraphBuiltAcrossIngestNotCached(t *testing.T) {
 		ingest() // clears the cached graph
 		built := make(chan error)
 		go func() {
-			_, err := l.VersionGraph()
+			_, err := l.VersionGraphContext(context.Background())
 			built <- err
 		}()
 		time.Sleep(time.Duration(trial%10) * 100 * time.Microsecond)
@@ -518,7 +541,7 @@ func TestVersionGraphBuiltAcrossIngestNotCached(t *testing.T) {
 		if err := <-built; err != nil {
 			t.Fatal(err)
 		}
-		g, err := l.VersionGraph()
+		g, err := l.VersionGraphContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

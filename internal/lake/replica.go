@@ -10,10 +10,10 @@ package lake
 //     replica serves vector, keyword, and MLQL reads without ever taking a
 //     write of its own.
 //   - Scatter-gather read primitives (EmbedModelQuery, SearchByVectorSpace,
-//     KeywordStatsFor, SearchKeywordWithStats, ScoresAbove, Catalog) expose
-//     the per-shard halves of cluster-wide searches, factored so the router
-//     can merge per-shard answers into results bitwise-identical to a
-//     single-node lake over the union (see internal/cluster).
+//     KeywordStatsFor, SearchKeywordWithStats) expose the per-shard halves
+//     of cluster-wide searches, factored so the router can merge per-shard
+//     answers into results bitwise-identical to a single-node lake over the
+//     union (see internal/cluster).
 
 import (
 	"context"
@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"modellake/internal/kvstore"
-	"modellake/internal/mlql"
 	"modellake/internal/provenance"
 	"modellake/internal/search"
 	"modellake/internal/tensor"
@@ -186,36 +185,6 @@ func (l *Lake) SearchKeywordWithStats(query string, g search.KeywordStats, k int
 	l.ensureKeyword()
 	return l.keyword.SearchWithStats(query, g, k)
 }
-
-// ScoresAbove returns the IDs of this lake's models scoring strictly above
-// baseline on bench, skipping excludeID and (like the single-node catalog)
-// models the benchmark cannot run on — the per-shard half of a cluster
-// OUTPERFORMS query, with the baseline computed once on the owner shard.
-func (l *Lake) ScoresAbove(bench string, baseline float64, excludeID string) (map[string]bool, error) {
-	recs, err := l.Records()
-	if err != nil {
-		return nil, err
-	}
-	out := map[string]bool{}
-	for _, rec := range recs {
-		if rec.ID == excludeID {
-			continue
-		}
-		s, err := l.Score(rec.ID, bench)
-		if err != nil {
-			continue
-		}
-		if s > baseline {
-			out[rec.ID] = true
-		}
-	}
-	return out, nil
-}
-
-// Catalog exposes the lake's MLQL catalog adapter, so a cluster router can
-// delegate per-shard catalog primitives (candidate rows, lineage closure,
-// benchmark ranking) to each shard and merge.
-func (l *Lake) Catalog() mlql.Catalog { return (*catalog)(l) }
 
 // ProvenanceWhy explains an entity from the provenance journal — the
 // routable form of Provenance().Why for servers that may front a cluster

@@ -199,7 +199,7 @@ func (l *Lake) Query(q string) (*mlql.Result, error) {
 // request abandons the query promptly.
 func (l *Lake) QueryContext(ctx context.Context, q string) (*mlql.Result, error) {
 	defer mQueryDur.Since(time.Now())
-	return mlql.RunContext(ctx, q, (*catalog)(l))
+	return l.apps.Query(ctx, q)
 }
 
 // Explain parses a query and renders its evaluation plan without running it.

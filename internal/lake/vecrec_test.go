@@ -2,6 +2,7 @@ package lake
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -485,7 +486,7 @@ func TestServingTouchesNoReference(t *testing.T) {
 	if _, err := l.Query("FIND MODELS WHERE DOMAIN = 'legal' LIMIT 5"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.VersionGraph(); err != nil {
+	if _, err := l.VersionGraphContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	m := pop.Members[0]

@@ -137,7 +137,6 @@ const (
 	kindCounter   = "counter"
 	kindGauge     = "gauge"
 	kindHistogram = "histogram"
-	kindGaugeFunc = "gaugefunc" // exposed as gauge
 )
 
 // metric is one (name, labels) series.
@@ -147,7 +146,6 @@ type metric struct {
 	c      *Counter
 	g      *Gauge
 	h      *Histogram
-	fn     func() float64
 }
 
 // family groups every series sharing a metric name; Prometheus requires one
@@ -157,13 +155,6 @@ type family struct {
 	kind    string
 	series  map[string]*metric
 	buckets []float64 // histogram families: bounds fixed at first creation
-}
-
-func (f *family) exposedKind() string {
-	if f.kind == kindGaugeFunc {
-		return kindGauge
-	}
-	return f.kind
 }
 
 // Registry holds metric families and renders them. The zero value is not
@@ -269,15 +260,6 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...Label) *H
 	return r.lookup(name, kindHistogram, labels, buckets).h
 }
 
-// GaugeFunc registers (or replaces) a gauge whose value is read from fn at
-// exposition time.
-func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...Label) {
-	m := r.lookup(name, kindGaugeFunc, labels, nil)
-	r.mu.Lock()
-	m.fn = fn
-	r.mu.Unlock()
-}
-
 func formatFloat(v float64) string {
 	if math.IsInf(v, 1) {
 		return "+Inf"
@@ -286,7 +268,7 @@ func formatFloat(v float64) string {
 }
 
 // snapshotFamilies copies the family list under the lock so rendering can
-// run without holding it (func metrics call arbitrary code).
+// run without holding it.
 func (r *Registry) snapshotFamilies() []*family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -312,7 +294,7 @@ func (f *family) sortedSeries() []*metric {
 // so output is deterministic.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, f := range r.snapshotFamilies() {
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.exposedKind()); err != nil {
+		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
 			return err
 		}
 		for _, m := range f.sortedSeries() {
@@ -331,9 +313,6 @@ func writeSeries(w io.Writer, name string, m *metric) error {
 		return err
 	case kindGauge:
 		_, err := fmt.Fprintf(w, "%s%s %d\n", name, m.labels, m.g.Value())
-		return err
-	case kindGaugeFunc:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", name, m.labels, formatFloat(m.fn()))
 		return err
 	case kindHistogram:
 		bounds, cum := m.h.Buckets()
@@ -387,14 +366,12 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 	var out []MetricSnapshot
 	for _, f := range r.snapshotFamilies() {
 		for _, m := range f.sortedSeries() {
-			s := MetricSnapshot{Name: f.name, Type: f.exposedKind(), Labels: m.labels}
+			s := MetricSnapshot{Name: f.name, Type: f.kind, Labels: m.labels}
 			switch m.kind {
 			case kindCounter:
 				s.Value = float64(m.c.Value())
 			case kindGauge:
 				s.Value = float64(m.g.Value())
-			case kindGaugeFunc:
-				s.Value = m.fn()
 			case kindHistogram:
 				s.Count = m.h.Count()
 				s.Sum = m.h.Sum()

@@ -132,7 +132,7 @@ func TestPrometheusExposition(t *testing.T) {
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(5)
-	r.GaugeFunc("d_cache_hits", func() float64 { return 7 })
+	r.Gauge("d_cache_hits").Set(7)
 	r.Counter("e_weird_total", L("q", `a"b\c`)).Inc()
 
 	var buf bytes.Buffer
@@ -166,7 +166,7 @@ func TestSnapshot(t *testing.T) {
 	r.Counter("ops_total", L("op", "put")).Add(9)
 	h := r.Histogram("lat_seconds", []float64{1})
 	h.Observe(0.5)
-	r.GaugeFunc("depth", func() float64 { return 3 })
+	r.Gauge("depth").Set(3)
 
 	snap := r.Snapshot()
 	byName := map[string]MetricSnapshot{}

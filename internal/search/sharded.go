@@ -30,6 +30,12 @@ var (
 	mKwDemotes       = obs.Default().Counter("keyword_seg_demotes_total")
 	mKwAdopted       = obs.Default().Counter("keyword_seg_adopted_total")
 	mKwAdoptRejected = obs.Default().Counter("keyword_seg_adopt_rejected_total")
+	// Where documents sit, summed over every keyword index in the process (a
+	// cluster holds one per node): each shard publishes the change in its
+	// own counts after every operation that moves documents between tiers,
+	// and Close withdraws what the index held.
+	mKwMapDocs = obs.Default().Gauge("keyword_map_docs")
+	mKwSegDocs = obs.Default().Gauge("keyword_segment_docs")
 )
 
 // DefaultKeywordShards is the shard count used when none is given. 16 is
@@ -80,6 +86,20 @@ type keywordShard struct {
 	// tier grows past it — otherwise a sticky disk fault would re-attempt
 	// a full merge on every Add.
 	nextMerge int
+	// pubMap, pubSeg are the tier counts last added to the process gauges.
+	pubMap, pubSeg int
+}
+
+// publishLocked moves the process-wide tier gauges by the change in the
+// shard's document counts since it last published.
+func (sh *keywordShard) publishLocked() {
+	m, g := len(sh.docLens), 0
+	if sh.seg != nil {
+		g = sh.seg.DocCount()
+	}
+	mKwMapDocs.Add(int64(m - sh.pubMap))
+	mKwSegDocs.Add(int64(g - sh.pubSeg))
+	sh.pubMap, sh.pubSeg = m, g
 }
 
 // ShardedKeywordIndex is a BM25 inverted index over model-card text, sharded
@@ -169,6 +189,7 @@ func (s *ShardedKeywordIndex) Add(docID, text string) error {
 	sh := s.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	defer sh.publishLocked()
 	demoted := false
 	if _, ok := sh.docLens[docID]; ok {
 		sh.removeMemLocked(docID)
@@ -227,6 +248,7 @@ func (s *ShardedKeywordIndex) Remove(docID string) error {
 	sh := s.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	defer sh.publishLocked()
 	demoted := false
 	if _, ok := sh.docLens[docID]; !ok {
 		if sh.seg == nil || !sh.seg.contains(docID) {
@@ -300,6 +322,7 @@ func (s *ShardedKeywordIndex) bulkLoadShard(i int, docs []Doc) {
 	sh := s.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	defer sh.publishLocked()
 	absent := docs[:0]
 	for _, d := range docs {
 		if _, inMem := sh.docLens[d.ID]; !inMem && (sh.seg == nil || !sh.seg.contains(d.ID)) {
@@ -434,6 +457,7 @@ func (s *ShardedKeywordIndex) Flush() error {
 		case sh.seg == nil && s.dir != "":
 			os.Remove(s.segPath(i))
 		}
+		sh.publishLocked()
 		sh.mu.Unlock()
 	}
 	return firstErr
@@ -477,6 +501,7 @@ func (s *ShardedKeywordIndex) AdoptSegments(verify func(docID string, crc uint64
 			old.src.close()
 		}
 		sh.seg = seg
+		sh.publishLocked()
 		sh.mu.Unlock()
 		covered = append(covered, seg.docIDs...)
 		mKwAdopted.Inc()
@@ -484,7 +509,8 @@ func (s *ShardedKeywordIndex) AdoptSegments(verify func(docID string, crc uint64
 	return covered
 }
 
-// Close releases segment file handles. The index is unusable afterwards.
+// Close releases segment file handles and withdraws the index's documents
+// from the process tier gauges. The index is unusable afterwards.
 func (s *ShardedKeywordIndex) Close() error {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
@@ -492,6 +518,9 @@ func (s *ShardedKeywordIndex) Close() error {
 			sh.seg.src.close()
 			sh.seg = nil
 		}
+		mKwMapDocs.Add(-int64(sh.pubMap))
+		mKwSegDocs.Add(-int64(sh.pubSeg))
+		sh.pubMap, sh.pubSeg = 0, 0
 		sh.mu.Unlock()
 	}
 	return nil

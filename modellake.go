@@ -40,7 +40,8 @@ import (
 
 // Lake is a model lake instance. See internal/lake for the full method set:
 // Ingest, SearchKeyword, SearchByModel, SearchTask, SearchHybrid, Query,
-// VersionGraph, Attribute, GenerateCard, Audit, Cite, Score, and friends.
+// VersionGraphContext, Attribute, GenerateCardContext, AuditContext, Cite,
+// Score, and friends.
 type Lake = lake.Lake
 
 // Config configures a lake (storage directory, probe space, index choice).

@@ -5,7 +5,9 @@
 //   - WeightEmbedder (intrinsic): per-layer weight statistics concatenated
 //     with a Johnson–Lindenstrauss random-projection sketch of θ. Models
 //     with different architectures embed into the same space because the
-//     sketch folds arbitrary-length parameter vectors.
+//     sketch folds arbitrary-length parameter vectors. The sketch costs
+//     SketchDim multiply-adds per parameter; only a model with more than
+//     4096 parameters is folded (copied) first.
 //
 //   - BehaviorEmbedder (extrinsic): the model's output distributions on a
 //     shared probe set — p_θ observed through the API only, usable even for

@@ -128,7 +128,7 @@ func RunE14Write(seed uint64, nIngest, nOpen int) (*Table, *WriteBenchResult, er
 	items := e14Items(seed, nIngest)
 
 	// --- Full-pipeline arms: durable lakes with Sync on. -----------------
-	serialNs, serialFsyncs, err := e14IngestArm(seed, items, false)
+	serialNs, serialFsyncs, err := e14SerialIngestArm(seed, items)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -198,9 +198,9 @@ func RunE14Write(seed uint64, nIngest, nOpen int) (*Table, *WriteBenchResult, er
 	return t, res, nil
 }
 
-// e14IngestArm times a full durable ingest of items; batch selects IngestAll
-// over the serial Ingest loop. Returns wall time and observed fsync count.
-func e14IngestArm(seed uint64, items []lake.IngestItem, batch bool) (time.Duration, int, error) {
+// e14SerialIngestArm times a full durable ingest of items through a serial
+// Ingest loop. Returns wall time and observed fsync count.
+func e14SerialIngestArm(seed uint64, items []lake.IngestItem) (time.Duration, int, error) {
 	dir, err := os.MkdirTemp("", "e14-ingest-*")
 	if err != nil {
 		return 0, 0, err
@@ -214,27 +214,18 @@ func e14IngestArm(seed uint64, items []lake.IngestItem, batch bool) (time.Durati
 	defer l.Close()
 	before := countFsyncs(rec)
 	start := time.Now()
-	if batch {
-		_, errs := l.IngestAll(items, 0)
-		for i, e := range errs {
-			if e != nil {
-				return 0, 0, fmt.Errorf("E14: batch ingest item %d: %w", i, e)
-			}
-		}
-	} else {
-		for i := range items {
-			if _, err := l.Ingest(items[i].Model, items[i].Card, items[i].Opts); err != nil {
-				return 0, 0, fmt.Errorf("E14: serial ingest item %d: %w", i, err)
-			}
+	for i := range items {
+		if _, err := l.Ingest(items[i].Model, items[i].Card, items[i].Opts); err != nil {
+			return 0, 0, fmt.Errorf("E14: serial ingest item %d: %w", i, err)
 		}
 	}
 	elapsed := time.Since(start)
 	return elapsed, countFsyncs(rec) - before, nil
 }
 
-// e14BatchIngestArm is e14IngestArm(batch) that additionally harvests the
-// final metadata key/value set, which the replay arms re-commit under the
-// legacy and batch write disciplines.
+// e14BatchIngestArm times the same durable ingest through IngestAll and
+// additionally harvests the final metadata key/value set, which the replay
+// arms re-commit under the legacy and batch write disciplines.
 func e14BatchIngestArm(seed uint64, items []lake.IngestItem) (time.Duration, int, []kvstore.Op, error) {
 	dir, err := os.MkdirTemp("", "e14-batch-*")
 	if err != nil {

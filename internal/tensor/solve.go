@@ -50,9 +50,9 @@ func Solve(a Matrix, b Vector) (Vector, error) {
 			}
 			rr, cr := m.Row(r), m.Row(col)
 			for j := col; j < n; j++ {
-				rr[j] -= f * cr[j]
+				rr[j] -= float64(f * cr[j])
 			}
-			x[r] -= f * x[col]
+			x[r] -= float64(f * x[col])
 		}
 	}
 	// Back substitution.
@@ -60,7 +60,7 @@ func Solve(a Matrix, b Vector) (Vector, error) {
 		s := x[col]
 		row := m.Row(col)
 		for j := col + 1; j < n; j++ {
-			s -= row[j] * x[j]
+			s -= float64(row[j] * x[j])
 		}
 		x[col] = s / row[col]
 	}

@@ -93,12 +93,30 @@ func NewRandomProjection(in, out int, seed uint64) *RandomProjection {
 // Apply projects x (length In) to a new vector of length Out. Inputs shorter
 // than In are implicitly zero-padded; longer inputs are folded by summing
 // chunks, so arbitrarily sized weight vectors map into the same space.
+//
+// A short input is read in place: out[i] sums m[i][j]·x[j] over j < len(x)
+// only, in the same order as a product against the padded vector, so the
+// sketch costs Out × len(x) multiply-adds and allocates nothing but out.
+// The padding terms it skips are all w·(+0) = ±0, and adding ±0 to an
+// accumulator that starts at +0 never changes its bits, so the answer is the
+// padded product's, bit for bit. Only an input longer than In pays for a
+// folded copy.
 func (p *RandomProjection) Apply(x Vector) Vector {
-	folded := NewVector(p.In)
-	for i, v := range x {
-		folded[i%p.In] += v
+	if len(x) > p.In {
+		folded := NewVector(p.In)
+		for i, v := range x {
+			folded[i%p.In] += v
+		}
+		x = folded
 	}
 	out := NewVector(p.Out)
-	p.m.MatVec(out, folded)
+	for i := range out {
+		row := p.m.Data[i*p.In : i*p.In+len(x)]
+		s := 0.0
+		for j, w := range row {
+			s += float64(w * x[j])
+		}
+		out[i] = s
+	}
 	return out
 }

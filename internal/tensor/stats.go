@@ -32,10 +32,10 @@ func Summarize(xs []float64) Stats {
 	min, max := xs[0], xs[0]
 	for _, x := range xs {
 		d := x - mean
-		d2 := d * d
+		d2 := float64(d * d)
 		m2 += d2
-		m3 += d2 * d
-		m4 += d2 * d2
+		m3 += float64(d2 * d)
+		m4 += float64(d2 * d2)
 		absSum += math.Abs(x)
 		if x < min {
 			min = x
@@ -93,9 +93,9 @@ func PearsonCorrelation(xs, ys []float64) float64 {
 	for i := range xs {
 		dx := xs[i] - mx
 		dy := ys[i] - my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
+		sxy += float64(dx * dy)
+		sxx += float64(dx * dx)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 || syy == 0 {
 		return 0

@@ -5,7 +5,9 @@
 //
 // Everything is float64 and allocation-explicit; hot paths take destination
 // arguments where it matters. Matrices are value types holding a shared
-// backing slice; Clone produces deep copies.
+// backing slice; Clone produces deep copies. Every product is rounded before
+// it is added (float64(...), the fusion barrier kernel.go explains), so the
+// embeddings computed here have the same bits on every architecture.
 package tensor
 
 import (
@@ -43,7 +45,7 @@ func (v Vector) AddScaled(alpha float64, w Vector) {
 		panic(fmt.Sprintf("tensor: AddScaled length mismatch %d vs %d", len(v), len(w)))
 	}
 	for i := range v {
-		v[i] += alpha * w[i]
+		v[i] += float64(alpha * w[i])
 	}
 }
 
@@ -149,7 +151,7 @@ func (m Matrix) AddScaled(alpha float64, other Matrix) {
 			m.Rows, m.Cols, other.Rows, other.Cols))
 	}
 	for i, v := range other.Data {
-		m.Data[i] += alpha * v
+		m.Data[i] += float64(alpha * v)
 	}
 }
 
@@ -171,7 +173,7 @@ func (m Matrix) MatVec(dst, x Vector) {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		s := 0.0
 		for j, w := range row {
-			s += w * x[j]
+			s += float64(w * x[j])
 		}
 		dst[i] = s
 	}
@@ -194,7 +196,7 @@ func (m Matrix) MatVecT(dst, x Vector) {
 		}
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		for j, w := range row {
-			dst[j] += w * xi
+			dst[j] += float64(w * xi)
 		}
 	}
 }
@@ -213,7 +215,7 @@ func (m Matrix) AddOuter(alpha float64, a, b Vector) {
 		}
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		for j := range row {
-			row[j] += ai * b[j]
+			row[j] += float64(ai * b[j])
 		}
 	}
 }
@@ -234,7 +236,7 @@ func MatMul(a, b Matrix) Matrix {
 			}
 			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
 			for j, bv := range brow {
-				orow[j] += av * bv
+				orow[j] += float64(av * bv)
 			}
 		}
 	}
@@ -256,7 +258,7 @@ func Sub(a, b Matrix) Matrix {
 func (m Matrix) FrobeniusNorm() float64 {
 	s := 0.0
 	for _, v := range m.Data {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }

@@ -3,6 +3,7 @@ package tensor
 import (
 	"bytes"
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -337,6 +338,100 @@ func TestRandomProjectionPreservesSimilarity(t *testing.T) {
 	}
 }
 
+// foldThenMatVec is the sketch as it was first written: fold x into a fresh
+// zero vector of length In, then multiply the whole matrix by it. Apply must
+// return these bits for every input.
+func foldThenMatVec(p *RandomProjection, x Vector) Vector {
+	folded := NewVector(p.In)
+	for i, v := range x {
+		folded[i%p.In] += v
+	}
+	out := NewVector(p.Out)
+	for i := range out {
+		s := 0.0
+		for j, w := range p.m.Data[i*p.In : (i+1)*p.In] {
+			s += float64(w * folded[j])
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// TestRandomProjectionMatchesFold: skipping the zero padding of a short
+// input changes no bit of the sketch. Each skipped term is w·(+0) = ±0 added
+// to an accumulator that starts at +0 and so is never −0, and folding x[j]
+// into +0 changes at most the sign of a zero — neither shows in the sum.
+func TestRandomProjectionMatchesFold(t *testing.T) {
+	p := NewRandomProjection(4096, 32, 12345)
+	rng := xrand.New(41)
+	specials := []float64{math.Copysign(0, -1), 5e-324, -2.5e-310, math.NaN(),
+		math.Inf(1), math.Inf(-1)}
+	fills := map[string]func(n int) Vector{
+		"gaussian": func(n int) Vector {
+			x := make(Vector, n)
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			return x
+		},
+		"negzero": func(n int) Vector {
+			x := make(Vector, n)
+			for i := range x {
+				x[i] = math.Copysign(0, -1)
+			}
+			return x
+		},
+		"subnormal": func(n int) Vector {
+			x := make(Vector, n)
+			for i := range x {
+				x[i] = float64(i%7-3) * 5e-324
+			}
+			return x
+		},
+	}
+	for i, s := range specials {
+		s := s
+		fills["gaussian+"+strconv.Itoa(i)] = func(n int) Vector {
+			x := fills["gaussian"](n)
+			for j := 0; j < n; j += 13 {
+				x[j] = s
+			}
+			return x
+		}
+	}
+	for _, n := range []int{0, 1, 99, 4095, 4096, 4097, 3*4096 + 5} {
+		for name, fill := range fills {
+			x := fill(n)
+			want := foldThenMatVec(p, x)
+			got := p.Apply(x)
+			if len(got) != len(want) {
+				t.Fatalf("len %d %s: got %d outputs, want %d", n, name, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("len %d %s: out[%d] = %v (%#x), fold gives %v (%#x)", n, name, i,
+						got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
+// TestRandomProjectionShortInputAllocatesOnlyOutput: an input no longer than
+// In is read in place, so the returned vector is the only allocation.
+func TestRandomProjectionShortInputAllocatesOnlyOutput(t *testing.T) {
+	p := NewRandomProjection(4096, 32, 12345)
+	for _, n := range []int{0, 99, 4096} {
+		x := make(Vector, n)
+		for i := range x {
+			x[i] = float64(i)
+		}
+		if a := testing.AllocsPerRun(50, func() { p.Apply(x) }); a != 1 {
+			t.Fatalf("Apply of %d inputs allocates %v times per run, want 1", n, a)
+		}
+	}
+}
+
 func TestMatrixEncodeRoundTrip(t *testing.T) {
 	rng := xrand.New(11)
 	m := NewMatrix(5, 7)
@@ -402,5 +497,16 @@ func BenchmarkMatMul64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = MatMul(m, m)
+	}
+}
+
+// BenchmarkRandomProjectionApply99 sketches a 99-parameter model (the bench
+// harness's population) through the weight embedder's 4096 → 32 projection.
+func BenchmarkRandomProjectionApply99(b *testing.B) {
+	p := NewRandomProjection(4096, 32, 12345)
+	x := Vector(randSlice(99, 3))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p.Apply(x)
 	}
 }

@@ -13,6 +13,7 @@ package weightspace
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"modellake/internal/data"
 	"modellake/internal/embedding"
@@ -52,10 +53,18 @@ func (c ProbeConfig) withDefaults() ProbeConfig {
 		c.LR = 0.05
 	}
 	if c.Embedder == nil {
-		c.Embedder = embedding.NewWeightEmbedder(32, 4, 12345)
+		c.Embedder = defaultEmbedder()
 	}
 	return c
 }
+
+// defaultEmbedder is the standard weight embedder, built on first use and
+// shared by every probe trained without one: its 4096 × 32 projection takes
+// milliseconds and a megabyte to build, docgen trains a probe per request,
+// and the embedder is read-only once built.
+var defaultEmbedder = sync.OnceValue(func() *embedding.WeightEmbedder {
+	return embedding.NewWeightEmbedder(32, 4, 12345)
+})
 
 // TrainProbe fits a weight-space classifier on (model, label) pairs. Labels
 // are arbitrary strings; the probe learns to predict them from weight

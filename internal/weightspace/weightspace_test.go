@@ -2,8 +2,10 @@ package weightspace
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
+	"modellake/internal/embedding"
 	"modellake/internal/lakegen"
 	"modellake/internal/model"
 	"modellake/internal/nn"
@@ -114,6 +116,40 @@ func TestProbeValidation(t *testing.T) {
 	}
 	if _, err := probe.Predict(model.WithViews(pop.Members[0].Model, model.ViewExtrinsic)); err == nil {
 		t.Fatal("closed-weights model probed")
+	}
+}
+
+// TestDefaultEmbedderBuiltOnce: probes trained without an embedder share one
+// standard embedder, and it embeds to the bits a freshly built one does.
+func TestDefaultEmbedderBuiltOnce(t *testing.T) {
+	pop := population(t, 106, 2, 2)
+	hs, labels := familyLabels(pop)
+	p1, _, err := TrainProbe(hs, labels, ProbeConfig{Seed: 1, Epochs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, _, err := TrainProbe(hs, labels, ProbeConfig{Seed: 2, Epochs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p1.emb != p2.emb {
+		t.Fatal("each probe built its own default embedder")
+	}
+	fresh := embedding.NewWeightEmbedder(32, 4, 12345)
+	for _, h := range hs {
+		got, err := p1.emb.Embed(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Embed(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s[%d]: shared embedder %v, fresh %v", h.ID(), i, got[i], want[i])
+			}
+		}
 	}
 }
 

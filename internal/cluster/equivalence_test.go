@@ -61,8 +61,8 @@ func TestClusterSearchBitwiseEqualsSingleNode(t *testing.T) {
 		seeds = seeds[:1]
 	}
 	// The cluster runs once with the default in-memory map postings and once
-	// with segment-backed disk-resident postings (threshold 4 so merges
-	// actually happen at test sizes); the single-node reference stays on the
+	// with segment-backed postings (threshold 4 so merges actually happen
+	// at test sizes); the single-node reference stays on the
 	// map scorer both times, so the second variant pins that the two-phase
 	// keyword path through block-max pruned segments — including failover
 	// reads and post-promotion writes — is bitwise-identical to exhaustive
@@ -72,10 +72,7 @@ func TestClusterSearchBitwiseEqualsSingleNode(t *testing.T) {
 		tweak func(*lake.Config)
 	}{
 		{"map-postings", func(*lake.Config) {}},
-		{"segment-postings", func(c *lake.Config) {
-			c.DiskResidentPostings = true
-			c.KeywordMergeThreshold = 4
-		}},
+		{"segment-postings", func(c *lake.Config) { c.KeywordMergeThreshold = 4 }},
 	}
 	for _, seed := range seeds {
 		for _, v := range variants {

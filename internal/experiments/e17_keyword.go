@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"strings"
 	"time"
@@ -14,16 +13,15 @@ import (
 )
 
 // E17 benchmarks the keyword read path (DESIGN.md §13): the exhaustive map
-// scorer vs block-max pruned top-k over compressed postings segments, in RAM
-// and disk-resident. Every pruned/disk point is verified bitwise-identical
-// to the map scorer on a query sample — the pruning is an acceleration, not
-// an approximation — and each point reports the postings tier's resident
-// heap bytes, so the table shows both halves of the tradeoff: query speed
-// and index memory.
+// scorer vs block-max pruned top-k over compressed postings segments. Every
+// pruned point is verified bitwise-identical to the map scorer on a query
+// sample — the pruning is an acceleration, not an approximation — and each
+// point reports the postings tier's resident heap bytes, so the table shows
+// both halves of the tradeoff: query speed and index memory.
 
 // KeywordPoint is one (scorer kind, corpus size) measurement.
 type KeywordPoint struct {
-	Kind              string  `json:"kind"` // "map", "pruned", or "disk"
+	Kind              string  `json:"kind"` // "map" or "pruned"
 	NDocs             int     `json:"n_docs"`
 	K                 int     `json:"k"`
 	Queries           int     `json:"queries"`
@@ -33,9 +31,8 @@ type KeywordPoint struct {
 	AllocsPerOp       float64 `json:"allocs_per_op"`
 	IdenticalTopK     bool    `json:"identical_topk"`           // vs the map scorer
 	PostingsHeapBytes int64   `json:"postings_heap_bytes"`      // index-accounted resident bytes
-	SegmentBytes      int64   `json:"segment_bytes,omitempty"`  // disk only: on-disk segment size
-	BlocksScanned     uint64  `json:"blocks_scanned,omitempty"` // segment kinds: decoded blocks
-	BlocksSkipped     uint64  `json:"blocks_skipped,omitempty"` // segment kinds: pruned without decode
+	BlocksScanned     uint64  `json:"blocks_scanned,omitempty"` // pruned only: decoded blocks
+	BlocksSkipped     uint64  `json:"blocks_skipped,omitempty"` // pruned only: pruned without decode
 }
 
 // KeywordBenchResult is the machine-readable summary cmd/lakebench writes to
@@ -51,7 +48,7 @@ func RunE17(seed uint64) (*Table, error) {
 	return t, err
 }
 
-// RunE17Keyword measures the three keyword read paths at the given corpus
+// RunE17Keyword measures the two keyword read paths at the given corpus
 // sizes with queries queries per point. sizes nil means {10_000, 100_000};
 // queries <= 0 means 300.
 func RunE17Keyword(seed uint64, sizes []int, queries int) (*Table, *KeywordBenchResult, error) {
@@ -67,7 +64,7 @@ func RunE17Keyword(seed uint64, sizes []int, queries int) (*Table, *KeywordBench
 		Title: "keyword search: block-max pruned postings segments vs map scorer",
 		Columns: []string{"path", "docs", "qps", "p50", "p99", "allocs/op",
 			"identical top-k", "postings heap", "blocks skipped"},
-		Notes: "pruned and disk rows are verified bitwise-identical to the exhaustive map scorer; heap is the postings tier's own accounting, so the disk row shows what leaves RAM",
+		Notes: "pruned rows are verified bitwise-identical to the exhaustive map scorer; heap is the postings tier's own accounting",
 	}
 	res := &KeywordBenchResult{}
 	for _, n := range sizes {
@@ -136,18 +133,11 @@ func keywordQueries(seed uint64, n int) []string {
 	return out
 }
 
-// measureKeywordPoint builds the three scorer variants over the same corpus
-// and measures each, gating pruned and disk on bitwise identity to the map
-// scorer.
+// measureKeywordPoint builds both scorer variants over the same corpus and
+// measures each, gating pruned on bitwise identity to the map scorer.
 func measureKeywordPoint(seed uint64, n, k, nq int) ([]KeywordPoint, error) {
 	ids, texts := keywordCorpus(seed+uint64(n), n)
 	queries := keywordQueries(seed+uint64(n), nq)
-
-	dir, err := os.MkdirTemp("", "e17kw")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
 
 	variants := []struct {
 		kind string
@@ -155,9 +145,9 @@ func measureKeywordPoint(seed uint64, n, k, nq int) ([]KeywordPoint, error) {
 	}{
 		{"map", search.KeywordConfig{MergeThreshold: -1}},
 		{"pruned", search.KeywordConfig{}},
-		{"disk", search.KeywordConfig{Dir: dir}},
 	}
 
+	var err error
 	var out []KeywordPoint
 	var oracle [][]search.Hit
 	var mapIdx *search.ShardedKeywordIndex
@@ -177,15 +167,6 @@ func measureKeywordPoint(seed uint64, n, k, nq int) ([]KeywordPoint, error) {
 			if err := idx.Flush(); err != nil {
 				idx.Close()
 				return nil, fmt.Errorf("e17: flush: %w", err)
-			}
-		}
-		if v.kind == "disk" {
-			if entries, err := os.ReadDir(dir); err == nil {
-				for _, e := range entries {
-					if info, err := e.Info(); err == nil {
-						p.SegmentBytes += info.Size()
-					}
-				}
 			}
 		}
 

@@ -23,10 +23,11 @@ var hnswVisits = obs.Default().Counter("ann_candidates_scanned_total", obs.L("ki
 // is that sublinear ANN search makes content-based model search scale; the
 // shape to observe is flat latency growing linearly with n while HNSW's
 // visits grow slowly, at recall ≥ 0.9.
-func RunE4(seed uint64) (*Table, error) { return runE4(seed, e4Sizes) }
+func RunE4(seed uint64) (*Table, error) { return runE4(seed, e4Sizes, 20000) }
 
-// runE4 is RunE4 over the given collection sizes.
-func runE4(seed uint64, sizes []int) (*Table, error) {
+// runE4 is RunE4 over the given collection sizes, with the efSearch
+// ablation at ablationN vectors.
+func runE4(seed uint64, sizes []int, ablationN int) (*Table, error) {
 	t := &Table{
 		ID:    "E4",
 		Title: "HNSW vs exact flat scan over model embeddings (dim=32, k=10)",
@@ -71,7 +72,7 @@ func runE4(seed uint64, sizes []int) (*Table, error) {
 	// Ablation: the efSearch recall/latency dial at a fixed collection size.
 	// (The paper notes HNSW "provides no formal guarantees"; this is the
 	// practical knob that trades accuracy for speed.)
-	vecs, qs := makeVecs(20000), makeVecs(queries)
+	vecs, qs := makeVecs(ablationN), makeVecs(queries)
 	truth, _, err := e4Exact(vecs, qs)
 	if err != nil {
 		return nil, err
@@ -85,7 +86,7 @@ func runE4(seed uint64, sizes []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(fmt.Sprintf("ef=%d @20k", ef), "-", us(per), fmt.Sprint(visits), "-", "-", f3(recall))
+		t.AddRow(fmt.Sprintf("ef=%d @%dk", ef, ablationN/1000), "-", us(per), fmt.Sprint(visits), "-", "-", f3(recall))
 	}
 	return t, nil
 }

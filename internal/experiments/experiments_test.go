@@ -108,18 +108,21 @@ func TestE3Shape(t *testing.T) {
 }
 
 func TestE4ShapeSmall(t *testing.T) {
-	// The full E4 sweeps to 50k vectors; the shape check runs the sweep to
-	// 20k and reads the work HNSW does off its visit counter rather than the
-	// clock, so it holds on any machine. The wall-clock bars are in
+	// The full E4 sweeps to 50k vectors; the shape check sweeps 500 → 5k,
+	// with the efSearch ablation at 5k, and reads the work HNSW does off
+	// its visit counter rather than the clock, so it holds on any machine.
+	// Of the sweeps tried, this is the smallest at which the counted bars
+	// below keep a margin over seeds 1, 2, 3, 7 and 42: 500 → 1500 → 3000
+	// meets them at seed 7 but sits exactly on the sublinearity bar at 42. The wall-clock bars are in
 	// TestE4SpeedupSmoke.
 	if testing.Short() {
 		t.Skip("E4 takes seconds; skipped in -short")
 	}
-	tab, err := runE4(testSeed(), e4Sizes[:3])
+	tab, err := runE4(testSeed(), []int{500, 2000, 5000}, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rows 0..2 sweep n; rows 3..6 are the efSearch ablation at n=20k.
+	// Rows 0..2 sweep n; rows 3..6 are the efSearch ablation at n=5k.
 	const largestN = 2
 	if rec := cell(t, tab, largestN, 6); rec < 0.85 {
 		t.Fatalf("HNSW recall at largest n = %v, want >= 0.85", rec)

@@ -2,17 +2,13 @@ package lake
 
 import (
 	"context"
-	"fmt"
 
 	"modellake/internal/apps"
-	"modellake/internal/attribution"
 	"modellake/internal/audit"
-	"modellake/internal/data"
 	"modellake/internal/docgen"
 	"modellake/internal/embedding"
 	"modellake/internal/mlql"
 	"modellake/internal/provenance"
-	"modellake/internal/tensor"
 	"modellake/internal/version"
 )
 
@@ -57,18 +53,4 @@ func (l *Lake) AuditContext(ctx context.Context, modelID string, flagged map[str
 // Cite produces a version-graph-anchored citation for a model.
 func (l *Lake) Cite(modelID string) (provenance.Citation, error) {
 	return l.apps.Cite(context.Background(), modelID)
-}
-
-// Attribute computes gradient-influence attribution of the model's behaviour
-// at (x, y) over the given training dataset.
-func (l *Lake) Attribute(modelID string, train *data.Dataset, x tensor.Vector, y int) ([]float64, error) {
-	h, err := l.Model(modelID)
-	if err != nil {
-		return nil, err
-	}
-	net, err := h.Network()
-	if err != nil {
-		return nil, fmt.Errorf("lake: attribution needs intrinsics: %w", err)
-	}
-	return attribution.GradientInfluence(net, train, x, y)
 }

@@ -1,16 +1,12 @@
 package lake
 
-// Lake-level contract for disk-resident keyword postings (DESIGN.md §13):
-// the knob is validated, answers are bitwise-identical to the in-memory map
-// scorer, reopened lakes adopt published segments only when their per-doc
-// text CRCs still match the registry's cards, and damaged or deleted segment
-// files are pure acceleration state — reopen rebuilds from cards and every
-// answer stays identical.
+// Lake-level contract for keyword postings segments (DESIGN.md §13): a
+// file-backed lake whose shards merge into segments answers bitwise like
+// the in-memory map scorer, before and after a reopen rebuilds the segments
+// from the cards.
 
 import (
 	"context"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -42,20 +38,13 @@ func collectKeyword(t *testing.T, l *Lake, k int) map[string][]search.Hit {
 	return out
 }
 
-func TestDiskResidentPostingsConfigValidation(t *testing.T) {
-	if _, err := Open(Config{DiskResidentPostings: true}); err == nil {
-		t.Fatal("Open accepted DiskResidentPostings without Dir")
-	} else if !strings.Contains(err.Error(), "requires Dir") {
-		t.Fatalf("error %q does not mention requires Dir", err)
-	}
-}
-
 // TestDiskPostingsLakeMatchesMapScorer ingests one population into a plain
-// in-memory lake and a disk-resident-postings lake (with a tiny merge
-// threshold so segments actually form at test sizes, plus mid-stream card
-// replacements to force demotions) and requires bitwise-identical keyword
-// answers — then again after a reopen that adopts the published segments,
-// and again after every flavour of segment-file damage.
+// in-memory lake and a file-backed lake (merging after every document so
+// segments form at test sizes, plus mid-stream card replacements to force
+// demotions) and requires bitwise-identical keyword answers — then
+// again after a reopen, whose first keyword request rebuilds the segments
+// from the cards, and after a card edited since the reopen survives the
+// next one.
 func TestDiskPostingsLakeMatchesMapScorer(t *testing.T) {
 	pop := population(t, 91)
 	plain, err := Open(Config{Seed: 1})
@@ -64,24 +53,26 @@ func TestDiskPostingsLakeMatchesMapScorer(t *testing.T) {
 	}
 	defer plain.Close()
 
-	dir := t.TempDir()
-	cfg := Config{Dir: dir, Seed: 1, DiskResidentPostings: true, KeywordMergeThreshold: 3}
-	disk, err := Open(cfg)
+	cfg := Config{Dir: t.TempDir(), Seed: 1, KeywordMergeThreshold: 1}
+	file, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	pIDs := fill(t, plain, pop)
-	dIDs := fill(t, disk, pop)
+	fIDs := fill(t, file, pop)
+	if file.keyword.SegmentCount() == 0 {
+		t.Fatal("no keyword segment formed; merge never ran")
+	}
 
-	// Replace a few cards in both lakes: in the disk lake some of these
-	// documents are already segment-resident, so the replace exercises the
-	// demote path while the plain lake just overwrites a map entry.
+	// Replace a few cards in both lakes: in the file lake every document is
+	// segment-resident, so the replace exercises the demote path while the
+	// plain lake just overwrites a map entry.
 	for _, i := range []int{0, 3, 7} {
 		for _, pair := range []struct {
 			l   *Lake
 			ids map[int]string
-		}{{plain, pIDs}, {disk, dIDs}} {
+		}{{plain, pIDs}, {file, fIDs}} {
 			c, err := pair.l.Card(pair.ids[i])
 			if err != nil {
 				t.Fatal(err)
@@ -112,136 +103,54 @@ func TestDiskPostingsLakeMatchesMapScorer(t *testing.T) {
 	if nonEmpty == 0 {
 		t.Fatal("no query matched; fixture is vacuous")
 	}
-	compare("live", collectKeyword(t, disk, 5), want)
-	if err := disk.Close(); err != nil {
+	compare("live", collectKeyword(t, file, 5), want)
+	if err := file.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	segs, err := filepath.Glob(filepath.Join(dir, "postings", "kw-*.seg"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no postings segments published (err=%v); merge never ran", err)
+	re, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	compare("reopened", collectKeyword(t, re, 5), want)
+	if re.keyword.SegmentCount() == 0 {
+		t.Fatal("the reopened lake's first keyword request built no segment")
 	}
 
-	damage := []struct {
-		name string
-		do   func(t *testing.T)
-	}{
-		{"pristine adopt", func(t *testing.T) {}},
-		{"flipped byte", func(t *testing.T) {
-			b, err := os.ReadFile(segs[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			b[len(b)/2] ^= 0x20
-			if err := os.WriteFile(segs[0], b, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"truncated", func(t *testing.T) {
-			b, err := os.ReadFile(segs[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(segs[0], b[:len(b)/3], 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"deleted", func(t *testing.T) {
-			if err := os.RemoveAll(filepath.Join(dir, "postings")); err != nil {
-				t.Fatal(err)
-			}
-		}},
+	// A card update after reopen must land in the keyword index even
+	// when the document arrived via the reopen's bulk build, and must
+	// still be what the next reopen serves.
+	probe := fIDs[1]
+	c, err := re.Card(probe)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, d := range damage {
-		d.do(t)
-		re, err := Open(cfg)
-		if err != nil {
-			t.Fatalf("%s: reopen: %v", d.name, err)
-		}
-		compare(d.name, collectKeyword(t, re, 5), want)
-
-		// A card update after reopen must land in the keyword index even
-		// when the document arrived via segment adoption.
-		probe := dIDs[1]
-		c, err := re.Card(probe)
-		if err != nil {
-			t.Fatalf("%s: %v", d.name, err)
-		}
-		c.Description = c.Description + " zanzibar"
-		if err := re.PutCard(probe, c); err != nil {
-			t.Fatalf("%s: PutCard after reopen: %v", d.name, err)
-		}
+	c.Description = c.Description + " zanzibar"
+	if err := re.PutCard(probe, c); err != nil {
+		t.Fatalf("PutCard after reopen: %v", err)
+	}
+	for round := 0; round < 2; round++ {
 		hits, err := re.SearchKeywordContext(context.Background(), "zanzibar", 3)
 		if err != nil {
-			t.Fatalf("%s: %v", d.name, err)
+			t.Fatal(err)
 		}
 		if len(hits) != 1 || hits[0].ID != probe {
-			t.Fatalf("%s: post-reopen card update not searchable: %+v", d.name, hits)
+			t.Fatalf("round %d: post-reopen card update not searchable: %+v", round, hits)
 		}
-		// Undo so the next damage round compares against the same corpus.
-		c.Description = strings.TrimSuffix(c.Description, " zanzibar")
-		if err := re.PutCard(probe, c); err != nil {
-			t.Fatalf("%s: %v", d.name, err)
-		}
-		compare(d.name+" after undo", collectKeyword(t, re, 5), want)
 		if err := re.Close(); err != nil {
-			t.Fatalf("%s: close: %v", d.name, err)
+			t.Fatal(err)
+		}
+		if re, err = Open(cfg); err != nil {
+			t.Fatal(err)
 		}
 	}
-}
-
-// TestStalePostingsSegmentNotAdopted edits a card while the lake is closed —
-// writing through a second lake handle on the same store would be the
-// realistic path, but simplest is to publish segments, reopen, edit, close,
-// and corrupt-check: after the edit the published segment no longer matches
-// the card CRC for that doc, so the NEXT reopen must reject that shard's
-// segment and serve the fresh text.
-func TestStalePostingsSegmentNotAdopted(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{Dir: dir, Seed: 1, DiskResidentPostings: true, KeywordMergeThreshold: 2}
-	l, err := Open(cfg)
-	if err != nil {
+	defer re.Close()
+	// Undo: the corpus is the plain lake's again.
+	c.Description = strings.TrimSuffix(c.Description, " zanzibar")
+	if err := re.PutCard(probe, c); err != nil {
 		t.Fatal(err)
 	}
-	pop := population(t, 55)
-	ids := fill(t, l, pop)
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen and edit one card. Close WITHOUT relying on Flush rewriting
-	// every shard: delete the postings dir snapshot taken before the edit
-	// is deliberately NOT done — the point is the on-disk segment from the
-	// first run may now be stale for this doc.
-	l, err = Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe := ids[2]
-	c, err := l.Card(probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Description = c.Description + " quetzal"
-	if err := l.PutCard(probe, c); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	l, err = Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	hits, err := l.SearchKeywordContext(context.Background(), "quetzal", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 1 || hits[0].ID != probe {
-		t.Fatalf("edited card not served after reopen: %+v", hits)
-	}
+	compare("after undo", collectKeyword(t, re, 5), want)
 }
 
 // TestKeywordTierGaugesSumOpenLakes: keyword_map_docs and

@@ -9,8 +9,6 @@ package lake
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -147,9 +145,7 @@ func TestReopenDrainBuildsSegments(t *testing.T) {
 	want := collectKeyword(t, live, 10)
 	carded, _ := live.keyword.TierDocs() // 250 docs over 16 shards: all still in the map tier
 
-	// loseSegments deletes the postings files Close published, so that the
-	// drain, not the adoption, has to produce (and publish) the segments.
-	reopen := func(cfg Config, loseSegments bool) *Lake {
+	reopen := func(cfg Config) *Lake {
 		t.Helper()
 		cfg.Dir, cfg.Seed = t.TempDir(), 1
 		l, err := Open(cfg)
@@ -160,18 +156,13 @@ func TestReopenDrainBuildsSegments(t *testing.T) {
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if loseSegments {
-			if err := os.RemoveAll(filepath.Join(cfg.Dir, "postings")); err != nil {
-				t.Fatal(err)
-			}
-		}
 		if l, err = Open(cfg); err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { l.Close() })
 		return l
 	}
-	maps := reopen(Config{KeywordMergeThreshold: -1}, false)
+	maps := reopen(Config{KeywordMergeThreshold: -1})
 	for q, hits := range collectKeyword(t, maps, 10) {
 		sameHits(t, "map-only "+q, hits, want[q])
 	}
@@ -199,50 +190,36 @@ func TestReopenDrainBuildsSegments(t *testing.T) {
 	}
 	shardsWithDocs := live.keyword.SegmentCount()
 
-	for _, arm := range []struct {
-		name         string
-		cfg          Config
-		loseSegments bool
-	}{
-		{"default", Config{}, false},
-		{"disk postings adopted", Config{DiskResidentPostings: true}, false},
-		{"disk postings rebuilt", Config{DiskResidentPostings: true}, true},
-	} {
-		name, re := arm.name, reopen(arm.cfg, arm.loseSegments)
-		merges := obs.Default().Counter("keyword_seg_merges_total")
-		before := merges.Value()
-		for q, hits := range collectKeyword(t, re, 10) {
-			sameHits(t, name+" "+q, hits, want[q])
-		}
-		// The drain builds each shard's segment once, however many cards it
-		// holds; adopted segments need no build at all.
-		wantMerges := shardsWithDocs
-		if arm.cfg.DiskResidentPostings && !arm.loseSegments {
-			wantMerges = 0
-		}
-		if got := int(merges.Value() - before); got != wantMerges {
-			t.Fatalf("%s: the drain ran %d segment builds, want %d", name, got, wantMerges)
-		}
-		st := re.TierMemStats()
-		if st.KeywordMapDocs != 0 || st.KeywordSegmentDocs != carded || re.keyword.SegmentCount() != shardsWithDocs {
-			t.Fatalf("%s: after the drain %+v in %d segments; want 0 map docs, %d segment docs, %d segments",
-				name, st, re.keyword.SegmentCount(), carded, shardsWithDocs)
-		}
-		if st.PostingsBytes >= mapStats.PostingsBytes {
-			t.Fatalf("%s: postings take %d bytes in segments, %d in maps", name, st.PostingsBytes, mapStats.PostingsBytes)
-		}
-		edit(re)
-		for q, hits := range collectKeyword(t, re, 10) {
-			sameHits(t, name+" edited "+q, hits, wantEdited[q])
-		}
-		if mapDocs, _ := re.keyword.TierDocs(); mapDocs != 0 || re.keyword.SegmentCount() != shardsWithDocs {
-			t.Fatalf("%s: PutCard left %d docs in the map tier, %d segments (want 0, %d)",
-				name, mapDocs, re.keyword.SegmentCount(), shardsWithDocs)
-		}
-		hits, err := re.SearchKeywordContext(ctx, "zanzibar", 3)
-		if err != nil || len(hits) != 1 || hits[0].ID != ids[0] {
-			t.Fatalf("%s: edited card not searchable: %v %v", name, hits, err)
-		}
+	name, re := "default", reopen(Config{})
+	merges := obs.Default().Counter("keyword_seg_merges_total")
+	before := merges.Value()
+	for q, hits := range collectKeyword(t, re, 10) {
+		sameHits(t, name+" "+q, hits, want[q])
+	}
+	// The drain builds each shard's segment once, however many cards it
+	// holds.
+	if got := int(merges.Value() - before); got != shardsWithDocs {
+		t.Fatalf("%s: the drain ran %d segment builds, want %d", name, got, shardsWithDocs)
+	}
+	st := re.TierMemStats()
+	if st.KeywordMapDocs != 0 || st.KeywordSegmentDocs != carded || re.keyword.SegmentCount() != shardsWithDocs {
+		t.Fatalf("%s: after the drain %+v in %d segments; want 0 map docs, %d segment docs, %d segments",
+			name, st, re.keyword.SegmentCount(), carded, shardsWithDocs)
+	}
+	if st.PostingsBytes >= mapStats.PostingsBytes {
+		t.Fatalf("%s: postings take %d bytes in segments, %d in maps", name, st.PostingsBytes, mapStats.PostingsBytes)
+	}
+	edit(re)
+	for q, hits := range collectKeyword(t, re, 10) {
+		sameHits(t, name+" edited "+q, hits, wantEdited[q])
+	}
+	if mapDocs, _ := re.keyword.TierDocs(); mapDocs != 0 || re.keyword.SegmentCount() != shardsWithDocs {
+		t.Fatalf("%s: PutCard left %d docs in the map tier, %d segments (want 0, %d)",
+			name, mapDocs, re.keyword.SegmentCount(), shardsWithDocs)
+	}
+	hits, err := re.SearchKeywordContext(ctx, "zanzibar", 3)
+	if err != nil || len(hits) != 1 || hits[0].ID != ids[0] {
+		t.Fatalf("%s: edited card not searchable: %v %v", name, hits, err)
 	}
 }
 

@@ -97,18 +97,8 @@ func (l *Lake) Close() error {
 	l.mu.Lock()
 	l.closed = true
 	l.mu.Unlock()
-	var err error
-	if l.cfg.DiskResidentPostings {
-		// Publish the keyword map tiers so the next Open adopts complete
-		// segments instead of re-tokenizing the corpus. Flush failures are
-		// not fatal to Close — segments are derived state and whatever
-		// did not publish simply rebuilds from cards.
-		err = l.keyword.Flush()
-	}
 	l.keyword.Close()
-	if cerr := l.kv.Close(); err == nil {
-		err = cerr
-	}
+	err := l.kv.Close()
 	if cerr := l.behaviorCS.Close(); err == nil {
 		err = cerr
 	}
@@ -140,8 +130,8 @@ func (l *Lake) Count() int { return l.reg.Count() }
 // TierMemStats breaks the lake's index-resident heap down by storage tier.
 // The three byte counts use the same accounting heuristics (16-byte string
 // headers, 48-byte map buckets), so the numbers are comparable across tiers
-// and across lake configurations — a disk-resident lake's vector and
-// postings tiers shrink to their in-RAM metadata while KV stays put.
+// and across lake configurations — a disk-resident lake's vector tier
+// shrinks to its in-RAM metadata while KV stays put.
 type TierMemStats struct {
 	VectorBytes   int64 `json:"vector_bytes"`   // both content-space ANN indexes
 	PostingsBytes int64 `json:"postings_bytes"` // keyword index, map tier + segments

@@ -99,25 +99,29 @@ func TestIngestIOBudget(t *testing.T) {
 }
 
 // TestLakeDirLayout: after ingest and Close the lake directory's top level
-// is the metadata log and the blob store, plus exactly the derived tiers the
-// config moved to disk — also after a reopen (segment adoption, keyword
-// drain), and also when the directory was written before vec records became
-// the only durable embeddings and still carries the per-model cache files:
-// Open reclaims those and the lake answers as before.
+// is the metadata log and the blob store, plus the vector segments when
+// DiskResidentVectors moved them to disk — never anything for the keyword
+// postings, which are RAM state whatever DiskResidentPostings says. It
+// holds also after a reopen (segment adoption, keyword drain), and also
+// when the directory was written before vec records became the only
+// durable embeddings and still carries the per-model cache files: Open
+// reclaims those and the lake answers as before.
 func TestLakeDirLayout(t *testing.T) {
 	pop := widePopulation(t, 59, 40)
 	cases := []struct {
+		name string
 		cfg  Config
 		want []string
 	}{
-		{Config{}, []string{"blobs", "lake.log"}},
-		{Config{DiskResidentVectors: true}, []string{"blobs", "lake.log", "vectors"}},
-		{Config{DiskResidentPostings: true}, []string{"blobs", "lake.log", "postings"}},
-		{Config{DiskResidentVectors: true, DiskResidentPostings: true, PQSubspaces: 4},
-			[]string{"blobs", "lake.log", "postings", "vectors"}},
+		{"blobs+lake.log", Config{}, []string{"blobs", "lake.log"}},
+		{"blobs+lake.log+vectors", Config{DiskResidentVectors: true}, []string{"blobs", "lake.log", "vectors"}},
+		{"DiskResidentPostings", Config{DiskResidentPostings: true}, []string{"blobs", "lake.log"}},
+		{"DiskResidentPostings+DiskResidentVectors+PQ",
+			Config{DiskResidentVectors: true, DiskResidentPostings: true, PQSubspaces: 4},
+			[]string{"blobs", "lake.log", "vectors"}},
 	}
 	for _, tc := range cases {
-		t.Run(strings.Join(tc.want, "+"), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
 			cfg.Dir, cfg.Seed = t.TempDir(), 1
 			var id, before string

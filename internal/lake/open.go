@@ -63,11 +63,6 @@ func Open(cfg Config) (*Lake, error) {
 	if cfg.Follower {
 		scoreKV = kvstore.OpenMemory()
 	}
-	kwCfg := search.KeywordConfig{MergeThreshold: cfg.KeywordMergeThreshold}
-	if cfg.DiskResidentPostings {
-		kwCfg.Dir = filepath.Join(cfg.Dir, "postings")
-		kwCfg.FS = cfg.FS
-	}
 	l := &Lake{
 		cfg:        cfg,
 		kv:         kv,
@@ -75,7 +70,7 @@ func Open(cfg Config) (*Lake, error) {
 		reg:        registry.New(kv, blobs),
 		prov:       provenance.NewJournal(kv),
 		runner:     benchmark.NewRunner(scoreKV),
-		keyword:    search.NewShardedKeywordIndexConfig(kwCfg),
+		keyword:    search.NewShardedKeywordIndexConfig(search.KeywordConfig{MergeThreshold: cfg.KeywordMergeThreshold}),
 		taskSearch: &search.TaskSearcher{},
 		modelCache: map[string]*model.Model{},
 		benchmarks: map[string]*benchmark.Benchmark{},
@@ -162,21 +157,6 @@ func (l *Lake) rehydrate() error {
 	if err != nil {
 		return fmt.Errorf("lake: rehydrate: %w", err)
 	}
-	// Adopt published keyword postings segments before queuing the keyword
-	// backlog: a segment whose covered documents all still match their
-	// current card text (by CRC) serves those documents straight from
-	// disk, and only the uncovered rest goes onto the lazy keyword
-	// backlog. A stale or damaged segment file is rejected whole and its
-	// documents rebuild from cards like any other reopen.
-	kwCovered := map[string]bool{}
-	if l.cfg.DiskResidentPostings && len(recs) > 0 {
-		for _, id := range l.keyword.AdoptSegments(func(docID string, crc uint64) bool {
-			c, err := l.reg.Card(docID)
-			return err == nil && search.TextCRC(c.Text()) == crc
-		}) {
-			kwCovered[id] = true
-		}
-	}
 	// One directory sweep answers every existence check: bulk-listing the
 	// blob store costs a few hundred syscalls where per-record Stat calls
 	// would cost one each. The snapshot is taken before hydration starts;
@@ -231,9 +211,7 @@ func (l *Lake) rehydrate() error {
 		for i, rec := range win {
 			h := res[i]
 			res[i] = hydrated{}
-			if !kwCovered[rec.ID] {
-				l.kwBacklog.push(rec.ID)
-			}
+			l.kwBacklog.push(rec.ID)
 			if h.err != nil {
 				return h.err
 			}

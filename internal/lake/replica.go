@@ -52,7 +52,7 @@ func (l *Lake) ReadWAL(from int64, maxBytes int) ([]byte, error) {
 // model is searchable by vector the moment its registration applies, and
 // the task roster loads lazily on the replica's first task search. The page
 // has landed whatever commit reports, so a keyword update it could not make
-// (a failed demote of a disk-resident postings segment) does not fail it.
+// (a postings block that fails to decode on demote) does not fail it.
 func (l *Lake) ApplyWAL(page []byte) error {
 	recs, err := kvstore.DecodePage(page)
 	if err != nil {
@@ -180,7 +180,7 @@ func (l *Lake) KeywordStatsFor(tokens []string) search.KeywordStats {
 
 // SearchKeywordWithStats ranks this lake's documents under cluster-global
 // BM25 statistics — phase two of an exact cluster keyword search. The only
-// error source is a failed block read on a disk-resident postings segment.
+// error source is a postings block that fails to decode.
 func (l *Lake) SearchKeywordWithStats(query string, g search.KeywordStats, k int) ([]search.Hit, error) {
 	l.ensureKeyword()
 	return l.keyword.SearchWithStats(query, g, k)

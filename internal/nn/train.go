@@ -335,19 +335,6 @@ func Train(m *MLP, ds *data.Dataset, cfg TrainConfig) (float64, error) {
 	return lastLoss, nil
 }
 
-// Loss returns the mean cross-entropy of m over ds.
-func (m *MLP) Loss(ds *data.Dataset) float64 {
-	if ds.Len() == 0 {
-		return 0
-	}
-	total := 0.0
-	for i := 0; i < ds.Len(); i++ {
-		x, y := ds.Example(i)
-		total += m.ExampleLoss(x, y)
-	}
-	return total / float64(ds.Len())
-}
-
 // Accuracy returns the fraction of ds the model classifies correctly.
 func (m *MLP) Accuracy(ds *data.Dataset) float64 {
 	if ds.Len() == 0 {

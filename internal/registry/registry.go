@@ -323,19 +323,6 @@ func (r *Registry) PutCard(id string, c *card.Card) error {
 	return r.kv.Put(cardKey(id), b)
 }
 
-// UpdateRecord persists changes to a record (e.g. cached metrics). The ID
-// must already exist.
-func (r *Registry) UpdateRecord(rec *Record) error {
-	if !r.kv.Has(modelKey(rec.ID)) {
-		return fmt.Errorf("%w: %s", ErrNotFound, rec.ID)
-	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("registry: marshal record: %w", err)
-	}
-	return r.kv.Put(modelKey(rec.ID), b)
-}
-
 // List returns all records in ID (= registration) order.
 func (r *Registry) List() ([]*Record, error) {
 	var out []*Record

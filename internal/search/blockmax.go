@@ -157,14 +157,13 @@ type segCursor struct {
 }
 
 // kwScratch is the pooled per-search workspace: idf table, per-shard map
-// accumulator for the mem tier, the top-k heap, segment cursors, a disk
-// read buffer, and block counters flushed to metrics once per search.
+// accumulator for the mem tier, the top-k heap, segment cursors, and block
+// counters flushed to metrics once per search.
 type kwScratch struct {
 	idf     []float64
 	acc     map[string]float64
 	heap    kwHeap
 	cursors []segCursor
-	buf     []byte
 	scanned int64
 	skipped int64
 }
@@ -200,11 +199,10 @@ func (c *segCursor) blockBound(seg *PostingsSegment, k1, b float64) float64 {
 // decode materializes c's current block and advances pos to the first
 // ordinal >= the cursor's lower bound, correcting cur upward.
 func (c *segCursor) decode(seg *PostingsSegment, sc *kwScratch) error {
-	n, grown, err := seg.decodeBlock(c.term, c.blk, c.ords[:], c.tfs[:], sc.buf)
+	n, err := seg.decodeBlock(c.term, c.blk, c.ords[:], c.tfs[:])
 	if err != nil {
 		return err
 	}
-	sc.buf = grown
 	sc.scanned++
 	c.n = n
 	c.decoded = true

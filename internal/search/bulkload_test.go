@@ -1,21 +1,18 @@
 package search
 
 import (
-	"bytes"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
 	"modellake/internal/data"
 )
 
-// TestShardIndexMatchesFNV pins the inlined hash to hash/fnv: published
-// MLKP1 files record shard placement and AdoptSegments rejects a misplaced
-// document, so a drifting hash would silently orphan every segment on disk.
+// TestShardIndexMatchesFNV pins the inlined hash to hash/fnv, so document
+// placement across shards stays what it has always been.
 func TestShardIndexMatchesFNV(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ids := []string{"", "a", "m-000001", "模型-7", string([]byte{0xff, 0x00, 0x80})}
@@ -49,11 +46,12 @@ func bulkQuery(rng *rand.Rand) string {
 }
 
 // TestBulkLoadEquivalence is the tentpole property: over generated corpora,
-// shard counts, with and without a segment already in place, in RAM and
-// disk-resident, an index filled by BulkLoad answers bit for bit like one
-// filled by Add + Flush and like the exhaustive KeywordIndex, reports the
-// same Stats, holds nothing in its map tier, and — disk-resident — has
-// published byte-identical segment files.
+// shard counts, and with and without a segment already in place, an index
+// filled by BulkLoad answers bit for bit like one filled by Add + Flush and
+// like the exhaustive KeywordIndex, reports the same Stats, holds nothing in
+// its map tier, and has built segments identical to the Flush path's. The
+// disk-true arms set KeywordConfig.Dir, which has no effect: nothing may be
+// written under it.
 func TestBulkLoadEquivalence(t *testing.T) {
 	for _, seed := range []int64{5, 6, 7} {
 		for _, shards := range []int{1, 4, 16} {
@@ -71,10 +69,12 @@ func TestBulkLoadEquivalence(t *testing.T) {
 
 func testBulkLoadEquivalence(t *testing.T, seed int64, shards int, pre, disk bool) {
 	rng := rand.New(rand.NewSource(seed))
+	var dirs []string
 	open := func() *ShardedKeywordIndex {
 		cfg := KeywordConfig{Shards: shards}
 		if disk {
 			cfg.Dir = t.TempDir()
+			dirs = append(dirs, cfg.Dir)
 		}
 		idx := NewShardedKeywordIndexConfig(cfg)
 		t.Cleanup(func() { idx.Close() })
@@ -146,18 +146,15 @@ func testBulkLoadEquivalence(t *testing.T, seed int64, shards int, pre, disk boo
 		}
 	}
 
+	for i := 0; i < shards; i++ {
+		if !reflect.DeepEqual(bulk.shards[i].seg, incr.shards[i].seg) {
+			t.Fatalf("shard %d: bulk-built segment differs from the Flush path's", i)
+		}
+	}
 	if disk {
-		for i := 0; i < shards; i++ {
-			b, berr := os.ReadFile(bulk.segPath(i))
-			in, ierr := os.ReadFile(incr.segPath(i))
-			if os.IsNotExist(berr) && os.IsNotExist(ierr) {
-				continue // shard holds no documents in either index
-			}
-			if berr != nil || ierr != nil {
-				t.Fatalf("shard %d: bulk file %v, incremental file %v", i, berr, ierr)
-			}
-			if !bytes.Equal(b, in) {
-				t.Fatalf("shard %d: bulk-built segment file differs from the Flush path's", i)
+		for _, d := range dirs {
+			if entries, err := os.ReadDir(d); err != nil || len(entries) > 0 {
+				t.Fatalf("keyword index wrote under its Dir %s: %d entries, %v", d, len(entries), err)
 			}
 		}
 	}
@@ -209,45 +206,39 @@ func TestBulkLoadLeavesIndexedDocsAlone(t *testing.T) {
 // segment-resident document leaves the shard compacted again, however few
 // documents it holds, and that the result still answers like the oracle.
 func TestDemotedShardRemerges(t *testing.T) {
-	for _, disk := range []bool{false, true} {
-		cfg := KeywordConfig{Shards: 4}
-		if disk {
-			cfg.Dir = filepath.Join(t.TempDir(), "postings")
-		}
-		idx := NewShardedKeywordIndexConfig(cfg)
-		defer idx.Close()
-		oracle := NewKeywordIndex()
-		rng := rand.New(rand.NewSource(17))
-		var docs []Doc
-		for i := 0; i < 120; i++ {
-			docs = append(docs, Doc{fmt.Sprintf("m-%04d", i), kwRandomDoc(rng)})
-			oracle.Add(docs[i].ID, docs[i].Text)
-		}
-		idx.BulkLoad(docs, 0)
-		segs := idx.SegmentCount()
+	idx := NewShardedKeywordIndexConfig(KeywordConfig{Shards: 4})
+	defer idx.Close()
+	oracle := NewKeywordIndex()
+	rng := rand.New(rand.NewSource(17))
+	var docs []Doc
+	for i := 0; i < 120; i++ {
+		docs = append(docs, Doc{fmt.Sprintf("m-%04d", i), kwRandomDoc(rng)})
+		oracle.Add(docs[i].ID, docs[i].Text)
+	}
+	idx.BulkLoad(docs, 0)
+	segs := idx.SegmentCount()
 
-		demotes := mKwDemotes.Value()
-		oracle.Add("m-0007", "freshly edited watermark")
-		if err := idx.Add("m-0007", "freshly edited watermark"); err != nil {
+	demotes := mKwDemotes.Value()
+	oracle.Add("m-0007", "freshly edited watermark")
+	if err := idx.Add("m-0007", "freshly edited watermark"); err != nil {
+		t.Fatal(err)
+	}
+	oracle.Remove("m-0011")
+	if err := idx.Remove("m-0011"); err != nil {
+		t.Fatal(err)
+	}
+	if mKwDemotes.Value()-demotes != 2 {
+		t.Fatal("edits of segment-resident docs did not go through a demote")
+	}
+	if mapDocs, segDocs := idx.TierDocs(); mapDocs != 0 || segDocs != 119 || idx.SegmentCount() != segs {
+		t.Fatalf("after replace+remove %d map docs, %d segment docs, %d segments; want 0, 119, %d",
+			mapDocs, segDocs, idx.SegmentCount(), segs)
+	}
+	for _, q := range []string{"watermark edited", "the model", "legal transformer"} {
+		got, err := idx.Search(q, 10)
+		if err != nil {
 			t.Fatal(err)
 		}
-		oracle.Remove("m-0011")
-		if err := idx.Remove("m-0011"); err != nil {
-			t.Fatal(err)
-		}
-		if mKwDemotes.Value()-demotes != 2 {
-			t.Fatalf("disk=%v: edits of segment-resident docs did not go through a demote", disk)
-		}
-		if mapDocs, segDocs := idx.TierDocs(); mapDocs != 0 || segDocs != 119 || idx.SegmentCount() != segs {
-			t.Fatalf("disk=%v: after replace+remove %d map docs, %d segment docs, %d segments; want 0, 119, %d",
-				disk, mapDocs, segDocs, idx.SegmentCount(), segs)
-		}
-		for _, q := range []string{"watermark edited", "the model", "legal transformer"} {
-			got, err := idx.Search(q, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameHits(t, q, got, oracle.Search(q, 10))
-		}
+		requireSameHits(t, q, got, oracle.Search(q, 10))
 	}
 }

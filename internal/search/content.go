@@ -215,13 +215,8 @@ func ExcludeSelf(raw []Hit, selfID string, k int) []Hit {
 	return hits
 }
 
-// SearchByVector ranks indexed models by proximity to a raw embedding
-// vector.
-func (s *ContentSearcher) SearchByVector(v tensor.Vector, k int) ([]Hit, error) {
-	return s.SearchByVectorContext(context.Background(), v, k)
-}
-
-// SearchByVectorContext is SearchByVector honoring a request context.
+// SearchByVectorContext ranks indexed models by proximity to a raw
+// embedding vector.
 func (s *ContentSearcher) SearchByVectorContext(ctx context.Context, v tensor.Vector, k int) ([]Hit, error) {
 	res, err := s.index().Search(ctx, v, k)
 	if err != nil {

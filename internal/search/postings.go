@@ -2,9 +2,10 @@ package search
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc64"
 	"sort"
+	"strings"
 
 	"modellake/internal/data"
 )
@@ -13,42 +14,26 @@ import (
 // keyword index: a compact, mergeable replacement for the nested
 // map[token]map[docID]tf tier. A segment holds a shard's documents as
 //
-//   - a sorted document table (docID, token length, CRC-64 of the source
-//     text) — the ordinal of a document in this table is its docID ord,
-//     so ordinal order is exactly ID order;
+//   - a sorted document table (docID, token length) — the ordinal of a
+//     document in this table is its docID ord, so ordinal order is exactly
+//     ID order;
 //   - a sorted terms dictionary, each term owning a run of blocks;
 //   - per-term postings split into blocks of up to postingsBlockSize
-//     entries, each block delta/varint-encoded (ord gaps, then raw tf)
-//     and carrying metadata (last ord, max tf, count, byte extent) that
-//     the block-max scorer reads without decoding the block.
+//     entries, each block delta/varint-encoded (ord gaps, then raw tf) into
+//     one byte slice and carrying metadata (last ord, max tf, count, byte
+//     extent) that the block-max scorer reads without decoding the block.
 //
-// Blocks live behind a blockSource: a byte slice for in-RAM segments, or
-// pread against the published segment file when the lake runs with
-// DiskResidentPostings — the same two-tier shape as the MLVF vector
-// segments in internal/index.
-//
-// The per-document text CRC is what makes a disk segment adoptable after
-// reopen: the lake verifies every covered document's current card text
-// against the stored CRC, so a segment is only ever trusted when it still
-// describes exactly the text the registry holds.
+// Segments are RAM state only: a reopened lake builds them from its cards.
 
 // postingsBlockSize is the maximum number of postings per block. 128 keeps
 // decode scratch small (two 512-byte arrays) while giving block-max pruning
 // enough granularity to skip meaningful work.
 const postingsBlockSize = 128
 
-// kwCRCTable is the CRC-64 polynomial shared by document-text checksums and
-// the segment file walk — same choice (ECMA) as the MLVF vector segments.
-var kwCRCTable = crc64.MakeTable(crc64.ECMA)
-
-// textCRC is the per-document freshness checksum stored in segments.
-func textCRC(text string) uint64 {
-	return crc64.Checksum([]byte(text), kwCRCTable)
-}
-
-// TextCRC exposes the per-document checksum so the lake can verify a
-// published segment against the registry's current card texts on reopen.
-func TextCRC(text string) uint64 { return textCRC(text) }
+// ErrBadPostings marks a postings block whose bytes contradict its
+// metadata. The decoder checks every block it reads, so a bug in the encoder
+// surfaces as this error instead of as a wrong ranking.
+var ErrBadPostings = errors.New("search: bad postings block")
 
 // blockMeta describes one encoded postings block without decoding it.
 type blockMeta struct {
@@ -67,45 +52,18 @@ type termMeta struct {
 	nBlocks    int32
 }
 
-// blockSource serves encoded block bytes. ramBlocks returns subslices of an
-// in-memory blob; fileBlocks preads the published segment file.
-type blockSource interface {
-	// readBlock returns length bytes at off, using scratch if it needs a
-	// destination buffer. The returned slice is only valid until the next
-	// readBlock with the same scratch.
-	readBlock(off int64, length int32, scratch []byte) ([]byte, error)
-	// memBytes is the heap held by the source (0 for disk-resident blocks).
-	memBytes() int64
-	// close releases any file handle.
-	close() error
-}
-
-type ramBlocks []byte
-
-func (b ramBlocks) readBlock(off int64, length int32, _ []byte) ([]byte, error) {
-	end := off + int64(length)
-	if off < 0 || end > int64(len(b)) {
-		return nil, fmt.Errorf("%w: block extent [%d,%d) outside blob of %d bytes", ErrBadPostings, off, end, len(b))
-	}
-	return b[off:end], nil
-}
-
-func (b ramBlocks) memBytes() int64 { return int64(len(b)) }
-func (b ramBlocks) close() error    { return nil }
-
 // PostingsSegment is an immutable, compact inverted index over one keyword
 // shard's documents. It is built by merging the shard's live map tier with
-// the previous segment, optionally published to disk, and scored by the
-// block-max pruned scorer in blockmax.go.
+// the previous segment and scored by the block-max pruned scorer in
+// blockmax.go.
 type PostingsSegment struct {
 	docIDs   []string // sorted ascending; index == ordinal
 	docLens  []uint32 // token count per document
-	docCRCs  []uint64 // textCRC of the indexed text per document
 	totalLen int64    // sum of docLens
 	terms    []string // sorted ascending
 	tmeta    []termMeta
 	blocks   []blockMeta
-	src      blockSource
+	blob     []byte // every block's encoded bytes, at blockMeta.off
 }
 
 // DocCount returns the number of documents in the segment.
@@ -144,58 +102,53 @@ func (seg *PostingsSegment) prevLastOrd(t, blk int) int64 {
 }
 
 // decodeBlock decodes block blk of term t into ords/tfs (each sized at
-// least blockMeta.count) and returns the posting count. scratch is the
-// disk-read buffer, returned possibly grown.
-func (seg *PostingsSegment) decodeBlock(t, blk int, ords, tfs []uint32, scratch []byte) (int, []byte, error) {
+// least blockMeta.count) and returns the posting count.
+func (seg *PostingsSegment) decodeBlock(t, blk int, ords, tfs []uint32) (int, error) {
 	bm := seg.blocks[int(seg.tmeta[t].firstBlock)+blk]
-	raw, err := seg.src.readBlock(bm.off, bm.length, scratch)
-	if err != nil {
-		return 0, scratch, err
+	end := bm.off + int64(bm.length)
+	if bm.off < 0 || end > int64(len(seg.blob)) {
+		return 0, fmt.Errorf("%w: block extent [%d,%d) outside blob of %d bytes", ErrBadPostings, bm.off, end, len(seg.blob))
 	}
-	if cap(scratch) < len(raw) {
-		scratch = raw[:0:len(raw)] // remember grown buffer for the caller
-	}
+	raw := seg.blob[bm.off:end]
 	prev := seg.prevLastOrd(t, blk)
 	pos := 0
 	for i := 0; i < int(bm.count); i++ {
 		gap, n := binary.Uvarint(raw[pos:])
 		if n <= 0 {
-			return 0, scratch, fmt.Errorf("%w: truncated ord gap in block", ErrBadPostings)
+			return 0, fmt.Errorf("%w: truncated ord gap in block", ErrBadPostings)
 		}
 		pos += n
 		tf, n := binary.Uvarint(raw[pos:])
 		if n <= 0 {
-			return 0, scratch, fmt.Errorf("%w: truncated tf in block", ErrBadPostings)
+			return 0, fmt.Errorf("%w: truncated tf in block", ErrBadPostings)
 		}
 		pos += n
 		prev += int64(gap)
 		if prev >= int64(len(seg.docIDs)) || tf == 0 {
-			return 0, scratch, fmt.Errorf("%w: posting ord %d / tf %d out of range", ErrBadPostings, prev, tf)
+			return 0, fmt.Errorf("%w: posting ord %d / tf %d out of range", ErrBadPostings, prev, tf)
 		}
 		ords[i] = uint32(prev)
 		tfs[i] = uint32(tf)
 	}
 	if pos != len(raw) {
-		return 0, scratch, fmt.Errorf("%w: %d trailing bytes in block", ErrBadPostings, len(raw)-pos)
+		return 0, fmt.Errorf("%w: %d trailing bytes in block", ErrBadPostings, len(raw)-pos)
 	}
 	if uint32(prev) != bm.lastOrd {
-		return 0, scratch, fmt.Errorf("%w: block last ord %d, metadata says %d", ErrBadPostings, prev, bm.lastOrd)
+		return 0, fmt.Errorf("%w: block last ord %d, metadata says %d", ErrBadPostings, prev, bm.lastOrd)
 	}
-	return int(bm.count), scratch, nil
+	return int(bm.count), nil
 }
 
 // forEachPosting decodes every posting of term t in ordinal order — the
 // segment-to-map path used by merges and demotes.
 func (seg *PostingsSegment) forEachPosting(t int, fn func(ord, tf uint32)) error {
 	var ords, tfs [postingsBlockSize]uint32
-	var scratch []byte
 	tm := seg.tmeta[t]
 	for blk := 0; blk < int(tm.nBlocks); blk++ {
-		n, grown, err := seg.decodeBlock(t, blk, ords[:], tfs[:], scratch)
+		n, err := seg.decodeBlock(t, blk, ords[:], tfs[:])
 		if err != nil {
 			return err
 		}
-		scratch = grown
 		for i := 0; i < n; i++ {
 			fn(ords[i], tfs[i])
 		}
@@ -204,7 +157,7 @@ func (seg *PostingsSegment) forEachPosting(t int, fn func(ord, tf uint32)) error
 }
 
 // memBytes estimates the heap retained by the segment: the doc table,
-// dictionary, block metadata, and (for in-RAM segments) the block blob.
+// dictionary, block metadata and the block blob.
 func (seg *PostingsSegment) memBytes() int64 {
 	if seg == nil {
 		return 0
@@ -214,21 +167,20 @@ func (seg *PostingsSegment) memBytes() int64 {
 	for _, id := range seg.docIDs {
 		n += int64(len(id)) + strHeader
 	}
-	n += int64(len(seg.docLens))*4 + int64(len(seg.docCRCs))*8
+	n += int64(len(seg.docLens)) * 4
 	for _, t := range seg.terms {
 		n += int64(len(t)) + strHeader
 	}
 	n += int64(len(seg.tmeta))*12 + int64(len(seg.blocks))*24
-	n += seg.src.memBytes()
+	n += int64(len(seg.blob))
 	return n
 }
 
 // segmentBuilder accumulates a segment in memory. Terms must be added in
 // sorted order with postings in ascending ordinal order.
 type segmentBuilder struct {
-	seg  PostingsSegment
-	blob []byte
-	tmp  [2 * binary.MaxVarintLen64]byte
+	seg PostingsSegment
+	tmp [2 * binary.MaxVarintLen64]byte
 }
 
 func (b *segmentBuilder) addTerm(term string, ords, tfs []uint32) {
@@ -242,30 +194,24 @@ func (b *segmentBuilder) addTerm(term string, ords, tfs []uint32) {
 		if end > len(ords) {
 			end = len(ords)
 		}
-		bm := blockMeta{off: int64(len(b.blob)), count: uint32(end - start)}
+		bm := blockMeta{off: int64(len(b.seg.blob)), count: uint32(end - start)}
 		for i := start; i < end; i++ {
 			gap := int64(ords[i]) - prev
 			prev = int64(ords[i])
 			n := binary.PutUvarint(b.tmp[:], uint64(gap))
 			n += binary.PutUvarint(b.tmp[n:], uint64(tfs[i]))
-			b.blob = append(b.blob, b.tmp[:n]...)
+			b.seg.blob = append(b.seg.blob, b.tmp[:n]...)
 			if tfs[i] > bm.maxTF {
 				bm.maxTF = tfs[i]
 			}
 		}
 		bm.lastOrd = uint32(prev)
-		bm.length = int32(int64(len(b.blob)) - bm.off)
+		bm.length = int32(int64(len(b.seg.blob)) - bm.off)
 		b.seg.blocks = append(b.seg.blocks, bm)
 		tm.nBlocks++
 	}
 	b.seg.terms = append(b.seg.terms, term)
 	b.seg.tmeta = append(b.seg.tmeta, tm)
-}
-
-// finish seals the builder into an in-RAM segment.
-func (b *segmentBuilder) finish() *PostingsSegment {
-	b.seg.src = ramBlocks(b.blob)
-	return &b.seg
 }
 
 // postingsRun is a batch of documents in the form buildSegment consumes:
@@ -276,7 +222,6 @@ func (b *segmentBuilder) finish() *PostingsSegment {
 type postingsRun struct {
 	ids   []string
 	lens  []uint32
-	crcs  []uint64
 	terms []string
 	start []int // terms[t] owns ords/tfs[start[t]:start[t+1]]
 	ords  []uint32
@@ -284,11 +229,10 @@ type postingsRun struct {
 }
 
 // runFromMaps flattens a shard's map tier into a run.
-func runFromMaps(postings map[string]map[string]int, docLens map[string]int, docCRCs map[string]uint64) *postingsRun {
+func runFromMaps(postings map[string]map[string]int, docLens map[string]int) *postingsRun {
 	r := &postingsRun{
 		ids:   make([]string, 0, len(docLens)),
 		lens:  make([]uint32, len(docLens)),
-		crcs:  make([]uint64, len(docLens)),
 		terms: make([]string, 0, len(postings)),
 		start: make([]int, 1, len(postings)+1),
 	}
@@ -300,7 +244,6 @@ func runFromMaps(postings map[string]map[string]int, docLens map[string]int, doc
 	for i, id := range r.ids {
 		ord[id] = uint32(i)
 		r.lens[i] = uint32(docLens[id])
-		r.crcs[i] = docCRCs[id]
 	}
 	for tok := range postings {
 		r.terms = append(r.terms, tok)
@@ -326,7 +269,6 @@ func runFromDocs(docs []Doc) *postingsRun {
 	r := &postingsRun{
 		ids:  make([]string, len(docs)),
 		lens: make([]uint32, len(docs)),
-		crcs: make([]uint64, len(docs)),
 	}
 	type rawPosting struct{ term, ord, tf uint32 }
 	termID := map[string]uint32{}
@@ -335,7 +277,7 @@ func runFromDocs(docs []Doc) *postingsRun {
 	var raw []rawPosting
 	for d, doc := range docs {
 		toks := data.Tokenize(doc.Text)
-		r.ids[d], r.lens[d], r.crcs[d] = doc.ID, uint32(len(toks)), textCRC(doc.Text)
+		r.ids[d], r.lens[d] = doc.ID, uint32(len(toks))
 		sort.Strings(toks)
 		for i := 0; i < len(toks); {
 			j := i + 1
@@ -344,9 +286,12 @@ func runFromDocs(docs []Doc) *postingsRun {
 			}
 			id, ok := termID[toks[i]]
 			if !ok {
+				// A token is a substring of the lower-cased text: the
+				// dictionary keeps a copy, not the whole text.
+				name := strings.Clone(toks[i])
 				id = uint32(len(names))
-				termID[toks[i]] = id
-				names = append(names, toks[i])
+				termID[name] = id
+				names = append(names, name)
 				dfs = append(dfs, 0)
 			}
 			dfs[id]++
@@ -382,8 +327,8 @@ func runFromDocs(docs []Doc) *postingsRun {
 // disjoint document sets — that invariant is what keeps per-term document
 // frequencies a simple sum — and both are sorted by ID, so the merged
 // ordinals are monotone in each source's and every step is a two-way merge.
-// Reading the old segment can fail on a disk-resident source; the error
-// aborts the build with no state changed.
+// A block of the old segment that fails to decode aborts the build with no
+// state changed.
 func buildSegment(run *postingsRun, old *PostingsSegment) (*PostingsSegment, error) {
 	if old == nil {
 		old = &PostingsSegment{}
@@ -393,7 +338,6 @@ func buildSegment(run *postingsRun, old *PostingsSegment) (*PostingsSegment, err
 	b := &segmentBuilder{}
 	b.seg.docIDs = make([]string, 0, n)
 	b.seg.docLens = make([]uint32, 0, n)
-	b.seg.docCRCs = make([]uint64, 0, n)
 	b.seg.totalLen = old.totalLen
 	runOrd := make([]uint32, len(run.ids))    // run ordinal -> new ordinal
 	oldOrd := make([]uint32, len(old.docIDs)) // old ordinal -> new ordinal
@@ -403,14 +347,12 @@ func buildSegment(run *postingsRun, old *PostingsSegment) (*PostingsSegment, err
 			runOrd[i] = uint32(len(b.seg.docIDs))
 			b.seg.docIDs = append(b.seg.docIDs, run.ids[i])
 			b.seg.docLens = append(b.seg.docLens, run.lens[i])
-			b.seg.docCRCs = append(b.seg.docCRCs, run.crcs[i])
 			b.seg.totalLen += int64(run.lens[i])
 			i++
 		case i == len(run.ids) || old.docIDs[j] < run.ids[i]:
 			oldOrd[j] = uint32(len(b.seg.docIDs))
 			b.seg.docIDs = append(b.seg.docIDs, old.docIDs[j])
 			b.seg.docLens = append(b.seg.docLens, old.docLens[j])
-			b.seg.docCRCs = append(b.seg.docCRCs, old.docCRCs[j])
 			j++
 		default:
 			return nil, fmt.Errorf("search: document %q present in both postings tiers", run.ids[i])
@@ -451,7 +393,7 @@ func buildSegment(run *postingsRun, old *PostingsSegment) (*PostingsSegment, err
 		}
 		b.addTerm(term, ords, tfs)
 	}
-	return b.finish(), nil
+	return &b.seg, nil
 }
 
 // postingsByOrd sorts parallel (ord, tf) slices by ordinal.

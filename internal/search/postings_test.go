@@ -6,10 +6,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
-	"modellake/internal/fault"
 	"modellake/internal/raceflag"
 )
 
@@ -66,7 +66,7 @@ func requireSameHits(t *testing.T, label string, got, want []Hit) {
 
 // TestPostingsSegmentRoundtrip builds segments from randomized map tiers
 // (including multi-block terms and chained merges) and checks every posting
-// decodes back exactly, through both the RAM and the disk block source.
+// decodes back exactly.
 func TestPostingsSegmentRoundtrip(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		rng := rand.New(rand.NewSource(seed))
@@ -79,7 +79,6 @@ func TestPostingsSegmentRoundtrip(t *testing.T) {
 		ref := NewKeywordIndex()
 		mem := map[string]map[string]int{}
 		lens := map[string]int{}
-		crcs := map[string]uint64{}
 		for id, text := range docs {
 			ref.Add(id, text)
 		}
@@ -87,11 +86,8 @@ func TestPostingsSegmentRoundtrip(t *testing.T) {
 		var gen1 *PostingsSegment
 		i := 0
 		for id, text := range docs {
-			target := mem
-			_ = target
 			toks := strings.Fields(text)
 			lens[id] = len(toks)
-			crcs[id] = textCRC(text)
 			for _, tok := range toks {
 				if mem[tok] == nil {
 					mem[tok] = map[string]int{}
@@ -101,14 +97,14 @@ func TestPostingsSegmentRoundtrip(t *testing.T) {
 			i++
 			if i == nDocs/2 {
 				var err error
-				gen1, err = buildSegment(runFromMaps(mem, lens, crcs), nil)
+				gen1, err = buildSegment(runFromMaps(mem, lens), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				mem, lens, crcs = map[string]map[string]int{}, map[string]int{}, map[string]uint64{}
+				mem, lens = map[string]map[string]int{}, map[string]int{}
 			}
 		}
-		seg, err := buildSegment(runFromMaps(mem, lens, crcs), gen1)
+		seg, err := buildSegment(runFromMaps(mem, lens), gen1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,38 +141,19 @@ func TestPostingsSegmentRoundtrip(t *testing.T) {
 				t.Fatalf("%s: %d terms, want %d", label, len(got), len(ref.postings))
 			}
 		}
-		check("ram", seg)
-
-		// Publish and reopen disk-resident: the same postings must decode
-		// via pread.
-		path := filepath.Join(t.TempDir(), "kw-00.seg")
-		if _, err := writeSegmentFile(nil, path, seg, 0, 1); err != nil {
-			t.Fatal(err)
-		}
-		dseg, err := openSegmentFile(nil, path, 0, 1, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer dseg.src.close()
-		check("disk", dseg)
-		if dseg.src.memBytes() != 0 {
-			t.Fatalf("disk segment reports %d blob bytes on heap", dseg.src.memBytes())
-		}
-		// And in-RAM reopen too.
-		rseg, err := openSegmentFile(nil, path, 0, 1, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("reopened-ram", rseg)
+		check("merged", seg)
 	}
 }
 
 // TestKeywordSegmentBitwiseEquivalence is the tentpole property test: across
 // shard counts, merge thresholds (including merge-every-add and
-// merge-disabled), disk residency, ingest orders, replacements, and
-// removals, the segment-backed pruned scorer must return exactly — bitwise —
-// what the exhaustive single-map KeywordIndex returns, for every k,
-// including tie-heavy corpora.
+// merge-disabled), ingest orders, replacements, and removals, the
+// segment-backed pruned scorer must return exactly — bitwise — what the
+// exhaustive single-map KeywordIndex returns, for every k, including
+// tie-heavy corpora. The "disk" variants set KeywordConfig.Dir, which has no
+// effect: they must answer the same, write nothing under it, and a fresh
+// index bulk-loaded from the surviving texts (the reopen path) must answer
+// the same too.
 func TestKeywordSegmentBitwiseEquivalence(t *testing.T) {
 	type variant struct {
 		name string
@@ -203,6 +180,7 @@ func TestKeywordSegmentBitwiseEquivalence(t *testing.T) {
 				oracle := NewKeywordIndex()
 				idx := NewShardedKeywordIndexConfig(v.cfg)
 				defer idx.Close()
+				live := map[string]string{}
 
 				nDocs := 150 + rng.Intn(150)
 				ids := make([]string, nDocs)
@@ -210,6 +188,7 @@ func TestKeywordSegmentBitwiseEquivalence(t *testing.T) {
 					ids[i] = fmt.Sprintf("m-%04d", i)
 				}
 				apply := func(id, text string) {
+					live[id] = text
 					oracle.Add(id, text)
 					if err := idx.Add(id, text); err != nil {
 						t.Fatalf("Add(%s): %v", id, err)
@@ -231,6 +210,7 @@ func TestKeywordSegmentBitwiseEquivalence(t *testing.T) {
 				}
 				for i := 0; i < 15; i++ {
 					id := ids[rng.Intn(len(ids))]
+					delete(live, id)
 					oracle.Remove(id)
 					if err := idx.Remove(id); err != nil {
 						t.Fatalf("Remove(%s): %v", id, err)
@@ -252,36 +232,30 @@ func TestKeywordSegmentBitwiseEquivalence(t *testing.T) {
 					}
 				}
 
-				// Flush publishes everything; a fresh index adopting the
-				// segments (disk variants) must answer identically with no
-				// documents re-added at all.
-				if v.disk {
-					if err := idx.Flush(); err != nil {
+				if !v.disk {
+					return
+				}
+				if err := idx.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := os.Stat(v.cfg.Dir); !os.IsNotExist(err) {
+					t.Fatalf("keyword index wrote under its Dir (stat: %v)", err)
+				}
+				var docs []Doc
+				for id, text := range live {
+					docs = append(docs, Doc{id, text})
+				}
+				reopened := NewShardedKeywordIndexConfig(v.cfg)
+				defer reopened.Close()
+				reopened.BulkLoad(docs, 2)
+				for q := 0; q < 15; q++ {
+					query := kwRandomQuery(rng)
+					want := oracle.Search(query, 10)
+					got, err := reopened.Search(query, 10)
+					if err != nil {
 						t.Fatal(err)
 					}
-					texts := map[string]uint64{}
-					for id, n := range oracle.docLens {
-						_ = n
-						texts[id] = 0 // filled below from segment verification callback
-					}
-					reopened := NewShardedKeywordIndexConfig(v.cfg)
-					defer reopened.Close()
-					covered := reopened.AdoptSegments(func(docID string, crc uint64) bool {
-						_, ok := texts[docID]
-						return ok // every live doc's CRC is whatever was indexed; stale docs are gone from oracle
-					})
-					if len(covered) != oracle.Len() {
-						t.Fatalf("adopted %d docs, oracle has %d", len(covered), oracle.Len())
-					}
-					for q := 0; q < 15; q++ {
-						query := kwRandomQuery(rng)
-						want := oracle.Search(query, 10)
-						got, err := reopened.Search(query, 10)
-						if err != nil {
-							t.Fatal(err)
-						}
-						requireSameHits(t, fmt.Sprintf("reopened query %q", query), got, want)
-					}
+					requireSameHits(t, fmt.Sprintf("reopened query %q", query), got, want)
 				}
 			})
 		}
@@ -355,274 +329,77 @@ func TestKeywordSearchAllocs(t *testing.T) {
 	}
 }
 
-// TestPostingsSegmentDamage corrupts a published segment byte by byte
-// (sampled) plus truncation and wrong-shard cases: every damaged file must
-// fail openSegmentFile with ErrBadPostings — never parse into garbage.
-func TestPostingsSegmentDamage(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	mem := map[string]map[string]int{}
-	lens := map[string]int{}
-	crcs := map[string]uint64{}
-	for i := 0; i < 200; i++ {
-		id := fmt.Sprintf("m-%04d", i)
-		text := kwRandomDoc(rng)
-		toks := strings.Fields(text)
-		lens[id] = len(toks)
-		crcs[id] = textCRC(text)
-		for _, tok := range toks {
-			if mem[tok] == nil {
-				mem[tok] = map[string]int{}
+// TestKeywordIndexDoesNotRetainText pins that no tier keeps a card's text
+// alive. Tokenize returns substrings of the lower-cased text, so a term that
+// became a map key or a dictionary entry without being copied would pin the
+// whole text. Each document is large, mixed-case and carries one unique
+// token; once the texts are dropped, the index must hold far less than they
+// did, whether the documents sit in the map tier, were merged into segments
+// by Flush, or arrived by BulkLoad.
+func TestKeywordIndexDoesNotRetainText(t *testing.T) {
+	const nDocs, docBytes = 1000, 16 << 10
+	text := func(i int) string {
+		rng := rand.New(rand.NewSource(int64(i)))
+		var b strings.Builder
+		fmt.Fprintf(&b, "Unique%05dToken", i)
+		for b.Len() < docBytes {
+			w := kwVocab[rng.Intn(4)] // few terms per doc: the postings stay small beside the text
+			if rng.Intn(2) == 0 {
+				w = strings.ToUpper(w[:1]) + w[1:]
 			}
-			mem[tok][id]++
+			b.WriteString(" " + w)
 		}
+		return b.String()
 	}
-	seg, err := buildSegment(runFromMaps(mem, lens, crcs), nil)
-	if err != nil {
-		t.Fatal(err)
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
 	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "kw-00.seg")
-	if _, err := writeSegmentFile(nil, path, seg, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	orig, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	expectBad := func(label string) {
-		t.Helper()
-		s, err := openSegmentFile(nil, path, 0, 1, true)
-		if err == nil {
-			s.src.close()
-			t.Fatalf("%s: damaged segment opened clean", label)
-		}
-	}
-	// Flip a byte at a spread of offsets covering header, meta, and blob.
-	for _, off := range []int{0, 5, 17, postingsHdrLen - 1, postingsHdrLen + 3, len(orig)/2 + 1, len(orig) - 1} {
-		mut := append([]byte(nil), orig...)
-		mut[off] ^= 0x40
-		if err := os.WriteFile(path, mut, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		expectBad(fmt.Sprintf("bit flip at %d", off))
-	}
-	// Truncations at every region boundary and inside each region.
-	for _, n := range []int{0, 10, postingsHdrLen, postingsHdrLen + 7, len(orig) - 1} {
-		if err := os.WriteFile(path, orig[:n], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		expectBad(fmt.Sprintf("truncated to %d", n))
-	}
-	// Restore intact, then demand a different shard layout: reject.
-	if err := os.WriteFile(path, orig, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if s, err := openSegmentFile(nil, path, 1, 2, true); err == nil {
-		s.src.close()
-		t.Fatal("segment for shard 0/1 adopted as shard 1/2")
-	}
-	// And intact with the right identity still opens.
-	s, err := openSegmentFile(nil, path, 0, 1, true)
-	if err != nil {
-		t.Fatalf("intact segment rejected: %v", err)
-	}
-	s.src.close()
-}
-
-// TestKeywordCrashWindowSweep fails every file operation of a disk-resident
-// keyword workload in turn — clean, torn, and sticky — and asserts the
-// crash-safety contract: the live index keeps answering bitwise-correctly
-// (merge failures fall back to the map tier), and whatever segment files a
-// "crashed" run leaves behind either fail Open or serve complete
-// bitwise-correct answers after adoption, never garbage.
-func TestKeywordCrashWindowSweep(t *testing.T) {
-	const nDocs = 60
-	docs := make(map[string]string, nDocs)
-	rng := rand.New(rand.NewSource(13))
-	ids := make([]string, nDocs)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("m-%04d", i)
-		docs[ids[i]] = kwRandomDoc(rng)
-	}
-	oracle := NewKeywordIndex()
-	for _, id := range ids {
-		oracle.Add(id, docs[id])
-	}
-	queries := []string{"legal transformer", "the model data", "watermark", "speech vision qa"}
-	wantFor := map[string][]Hit{}
-	for _, q := range queries {
-		wantFor[q] = oracle.Search(q, 10)
-	}
-
-	// Two ways a segment gets published: merges and a final Flush as
-	// documents trickle in through Add (what Close does), and one BulkLoad
-	// on top of segments already in place (what the lake's reopen drain does).
-	for _, wl := range []struct {
+	for _, arm := range []struct {
 		name string
-		load func(idx *ShardedKeywordIndex) []error
+		cfg  KeywordConfig
 	}{
-		{"add+flush", func(idx *ShardedKeywordIndex) []error {
-			var errs []error
-			for _, id := range ids {
-				if err := idx.Add(id, docs[id]); err != nil {
-					errs = append(errs, err)
-				}
-			}
-			if err := idx.Flush(); err != nil {
-				errs = append(errs, err)
-			}
-			return errs
-		}},
-		{"bulk", func(idx *ShardedKeywordIndex) []error {
-			var errs []error
-			for _, id := range ids[:nDocs/3] {
-				if err := idx.Add(id, docs[id]); err != nil {
-					errs = append(errs, err)
-				}
-			}
-			var batch []Doc
-			for _, id := range ids[nDocs/3:] {
-				batch = append(batch, Doc{id, docs[id]})
-			}
-			idx.BulkLoad(batch, 2)
-			return errs
-		}},
+		{"map-tier", KeywordConfig{Shards: 4, MergeThreshold: -1}},
+		{"add+flush", KeywordConfig{Shards: 4}},
+		{"bulk", KeywordConfig{Shards: 4}},
 	} {
-		workload := func(dir string, fsys *fault.FS) (*ShardedKeywordIndex, []error) {
-			idx := NewShardedKeywordIndexConfig(KeywordConfig{
-				Shards: 2, MergeThreshold: 8, Dir: dir, FS: fsys,
-			})
-			return idx, wl.load(idx)
-		}
-
-		// Enumerate the workload's fault points.
-		rec := &fault.Recorder{}
-		idx, errs := workload(t.TempDir(), fault.New(rec))
-		if len(errs) > 0 {
-			t.Fatalf("%s: clean run errored: %v", wl.name, errs)
-		}
-		idx.Close()
-		nOps := len(rec.Ops())
-		if nOps == 0 {
-			t.Fatalf("%s: recorder saw no segment IO; sweep is vacuous", wl.name)
-		}
-
-		for n := 1; n <= nOps; n++ {
-			for _, mode := range []struct {
-				name   string
-				script *fault.Script
-			}{
-				{"clean", &fault.Script{FailAt: n}},
-				{"torn", &fault.Script{FailAt: n, Torn: 3}},
-				{"sticky", &fault.Script{FailAt: n, Sticky: true}},
-			} {
-				label := fmt.Sprintf("%s op %d (%s)", wl.name, n, mode.name)
-				dir := t.TempDir()
-				idx, _ := workload(dir, fault.New(mode.script))
-				// Contract 1: the live index answers bitwise-correctly no
-				// matter which op failed — documents whose merge failed are
-				// still served from the map tier.
-				for _, q := range queries {
-					got, err := idx.Search(q, 10)
-					if err != nil {
-						t.Fatalf("%s: live search %q: %v", label, q, err)
-					}
-					requireSameHits(t, fmt.Sprintf("%s live %q", label, q), got, wantFor[q])
+		t.Run(arm.name, func(t *testing.T) {
+			before := heap()
+			idx := NewShardedKeywordIndexConfig(arm.cfg)
+			textBytes := 0
+			if arm.name == "bulk" {
+				docs := make([]Doc, nDocs)
+				for i := range docs {
+					docs[i] = Doc{fmt.Sprintf("m-%05d", i), text(i)}
+					textBytes += len(docs[i].Text)
 				}
-				idx.Close()
-
-				// Contract 2: reopen. Adopt whatever files survived (fault-free
-				// FS now — the "disk" is healthy again), top up the uncovered
-				// documents, and demand bitwise-correct answers.
-				re := NewShardedKeywordIndexConfig(KeywordConfig{
-					Shards: 2, MergeThreshold: 8, Dir: dir,
-				})
-				covered := map[string]bool{}
-				for _, id := range re.AdoptSegments(func(docID string, crc uint64) bool {
-					text, ok := docs[docID]
-					return ok && textCRC(text) == crc
-				}) {
-					if covered[id] {
-						t.Fatalf("%s: doc %s covered twice", label, id)
-					}
-					covered[id] = true
-				}
-				var uncovered []Doc
-				for _, id := range ids {
-					if !covered[id] {
-						uncovered = append(uncovered, Doc{id, docs[id]})
+				idx.BulkLoad(docs, 2)
+			} else {
+				for i := 0; i < nDocs; i++ {
+					txt := text(i)
+					textBytes += len(txt)
+					if err := idx.Add(fmt.Sprintf("m-%05d", i), txt); err != nil {
+						t.Fatal(err)
 					}
 				}
-				re.BulkLoad(uncovered, 2)
-				for _, q := range queries {
-					got, err := re.Search(q, 10)
-					if err != nil {
-						t.Fatalf("%s: reopened search %q: %v", label, q, err)
-					}
-					requireSameHits(t, fmt.Sprintf("%s reopened %q", label, q), got, wantFor[q])
-				}
-				re.Close()
 			}
-		}
-	}
-}
-
-// TestAdoptSegmentsRejectsStaleDocs pins the freshness contract: if any
-// covered document's text changed since the segment was published, the
-// whole shard segment is rejected and its documents fall back to re-adds.
-func TestAdoptSegmentsRejectsStaleDocs(t *testing.T) {
-	dir := t.TempDir()
-	docs := map[string]string{}
-	rng := rand.New(rand.NewSource(21))
-	idx := NewShardedKeywordIndexConfig(KeywordConfig{Shards: 2, MergeThreshold: 4, Dir: dir})
-	for i := 0; i < 40; i++ {
-		id := fmt.Sprintf("m-%04d", i)
-		docs[id] = kwRandomDoc(rng)
-		if err := idx.Add(id, docs[id]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := idx.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	idx.Close()
-
-	// One document's text "changes" behind the segment's back.
-	stale := "m-0007"
-	docs[stale] = docs[stale] + " freshly edited"
-
-	re := NewShardedKeywordIndexConfig(KeywordConfig{Shards: 2, MergeThreshold: 4, Dir: dir})
-	defer re.Close()
-	covered := re.AdoptSegments(func(docID string, crc uint64) bool {
-		return textCRC(docs[docID]) == crc
-	})
-	for _, id := range covered {
-		if id == stale {
-			t.Fatal("stale document adopted from segment")
-		}
-	}
-	// The stale doc's whole shard was rejected; the other shard may have
-	// adopted. Re-add everything uncovered and verify against an oracle
-	// built from the *current* texts.
-	cov := map[string]bool{}
-	for _, id := range covered {
-		cov[id] = true
-	}
-	oracle := NewKeywordIndex()
-	for id, text := range docs {
-		oracle.Add(id, text)
-		if !cov[id] {
-			if err := re.Add(id, text); err != nil {
-				t.Fatal(err)
+			if arm.name == "add+flush" {
+				if err := idx.Flush(); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-	}
-	for _, q := range []string{"legal", "the model", "watermark edited"} {
-		got, err := re.Search(q, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameHits(t, "post-stale-adopt "+q, got, oracle.Search(q, 10))
+			retained := int64(heap()) - int64(before)
+			if mapDocs, segDocs := idx.TierDocs(); mapDocs+segDocs != nDocs || (segDocs == 0) != (arm.name == "map-tier") {
+				t.Fatalf("%d map docs and %d segment docs, want %d in the arm's tier", mapDocs, segDocs, nDocs)
+			}
+			t.Logf("retained %d heap bytes for %d bytes of text (%.1f%%)", retained, textBytes, 100*float64(retained)/float64(textBytes))
+			if retained*10 >= int64(textBytes) {
+				t.Fatal("the index keeps the texts alive")
+			}
+			runtime.KeepAlive(idx)
+		})
 	}
 }

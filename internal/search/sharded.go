@@ -2,14 +2,12 @@ package search
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"modellake/internal/data"
-	"modellake/internal/fault"
 	"modellake/internal/obs"
 )
 
@@ -28,8 +26,6 @@ var (
 	mKwMergeFails    = obs.Default().Counter("keyword_seg_merge_failures_total")
 	mKwMergeDur      = obs.Default().Histogram("keyword_seg_merge_seconds", nil)
 	mKwDemotes       = obs.Default().Counter("keyword_seg_demotes_total")
-	mKwAdopted       = obs.Default().Counter("keyword_seg_adopted_total")
-	mKwAdoptRejected = obs.Default().Counter("keyword_seg_adopt_rejected_total")
 	// Where documents sit, summed over every keyword index in the process (a
 	// cluster holds one per node): each shard publishes the change in its
 	// own counts after every operation that moves documents between tiers,
@@ -62,13 +58,10 @@ type KeywordConfig struct {
 	// disables merging entirely (pure map tier — the pre-segment
 	// behaviour, kept for benchmarks and comparison tests).
 	MergeThreshold int
-	// Dir, when non-empty, makes segments disk-resident: each merge
-	// publishes a checksummed kw-NN.seg file under Dir and the block data
-	// is served by pread instead of staying on heap. Segments are derived
-	// state — a missing or damaged file is rebuilt from cards.
+	// Dir has no effect: segments live in RAM only. It is kept for the
+	// benchmark harness that still sets it and goes when the harness
+	// stops setting it.
 	Dir string
-	// FS routes segment file IO for fault injection; nil is a passthrough.
-	FS *fault.FS
 }
 
 // keywordShard is one lock's worth of the inverted index: a disjoint subset
@@ -79,13 +72,8 @@ type keywordShard struct {
 	mu       sync.RWMutex
 	postings map[string]map[string]int // token -> docID -> term frequency
 	docLens  map[string]int
-	docCRCs  map[string]uint64 // textCRC per doc, for segment freshness
-	totalLen int               // mem tier only; seg keeps its own
-	seg      *PostingsSegment  // nil until the first merge
-	// nextMerge, when > 0, defers retrying a failed merge until the map
-	// tier grows past it — otherwise a sticky disk fault would re-attempt
-	// a full merge on every Add.
-	nextMerge int
+	totalLen int              // mem tier only; seg keeps its own
+	seg      *PostingsSegment // nil until the first merge
 	// pubMap, pubSeg are the tier counts last added to the process gauges.
 	pubMap, pubSeg int
 }
@@ -117,8 +105,6 @@ type ShardedKeywordIndex struct {
 	k1, bBM25 float64
 
 	mergeThreshold int
-	dir            string
-	fsys           *fault.FS
 
 	scratch sync.Pool // *kwScratch
 }
@@ -143,14 +129,11 @@ func NewShardedKeywordIndexConfig(cfg KeywordConfig) *ShardedKeywordIndex {
 		k1:             1.2,
 		bBM25:          0.75,
 		mergeThreshold: cfg.MergeThreshold,
-		dir:            cfg.Dir,
-		fsys:           cfg.FS,
 	}
 	for i := range s.shards {
 		s.shards[i] = &keywordShard{
 			postings: make(map[string]map[string]int),
 			docLens:  make(map[string]int),
-			docCRCs:  make(map[string]uint64),
 		}
 	}
 	s.scratch.New = func() any {
@@ -160,8 +143,7 @@ func NewShardedKeywordIndexConfig(cfg KeywordConfig) *ShardedKeywordIndex {
 }
 
 // shardIndex places docID by 32-bit FNV-1a, inlined over the string so the
-// per-Add hash allocates nothing. Published segment files record the
-// placement, so the function must keep agreeing with hash/fnv.
+// per-Add hash allocates nothing.
 func (s *ShardedKeywordIndex) shardIndex(docID string) int {
 	h := uint32(2166136261)
 	for i := 0; i < len(docID); i++ {
@@ -170,23 +152,18 @@ func (s *ShardedKeywordIndex) shardIndex(docID string) int {
 	return int(h % uint32(len(s.shards)))
 }
 
-func (s *ShardedKeywordIndex) segPath(i int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("kw-%02d.seg", i))
-}
-
 // Add indexes text under docID, replacing any previous document with the
 // same ID. Only docID's shard is locked, so adds of different documents
 // proceed in parallel. Replacing a document that lives in the shard's
 // segment demotes the segment back into the map tier first (segments are
 // immutable and tombstone-free) and merges it again before returning, so a
-// compacted shard stays compacted; a demote that fails — possible only with
-// disk-resident blocks — leaves the index unchanged and is the only error
-// Add can return. A failed merge is not an error: the document is safely
-// in the map tier and the merge retries once the tier grows further.
+// compacted shard stays compacted. A demote or merge fails only on a block
+// that does not decode (ErrBadPostings): a failed demote leaves the index
+// unchanged and is the only error Add returns, and a failed merge leaves
+// the document in the map tier.
 func (s *ShardedKeywordIndex) Add(docID, text string) error {
 	mKwAdds.Inc()
-	i := s.shardIndex(docID)
-	sh := s.shards[i]
+	sh := s.shards[s.shardIndex(docID)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	defer sh.publishLocked()
@@ -201,8 +178,8 @@ func (s *ShardedKeywordIndex) Add(docID, text string) error {
 		demoted = true
 	}
 	sh.addMemLocked(docID, text)
-	if demoted || (len(sh.docLens) >= s.mergeThreshold && len(sh.docLens) >= sh.nextMerge) {
-		s.tryMergeLocked(i, sh)
+	if demoted || len(sh.docLens) >= s.mergeThreshold {
+		s.tryMergeLocked(sh)
 	}
 	return nil
 }
@@ -212,31 +189,27 @@ func (s *ShardedKeywordIndex) Add(docID, text string) error {
 func (sh *keywordShard) addMemLocked(docID, text string) {
 	toks := data.Tokenize(text)
 	sh.docLens[docID] = len(toks)
-	sh.docCRCs[docID] = textCRC(text)
 	sh.totalLen += len(toks)
 	for _, tok := range toks {
 		m := sh.postings[tok]
 		if m == nil {
+			// A token is a substring of the lower-cased text: the map
+			// keeps a copy, not the whole text.
 			m = make(map[string]int)
-			sh.postings[tok] = m
+			sh.postings[strings.Clone(tok)] = m
 		}
 		m[docID]++
 	}
 }
 
 // tryMergeLocked merges the shard's map tier into its segment when merging
-// is enabled. A failure leaves the documents in the map tier and defers the
-// retry until the tier has grown by another threshold — otherwise a sticky
-// disk fault would re-attempt a full merge on every Add.
-func (s *ShardedKeywordIndex) tryMergeLocked(i int, sh *keywordShard) {
+// is enabled. A failure leaves the documents in the map tier.
+func (s *ShardedKeywordIndex) tryMergeLocked(sh *keywordShard) {
 	if s.mergeThreshold <= 0 || len(sh.docLens) == 0 {
 		return
 	}
-	if err := s.mergeShardLocked(i, sh); err != nil {
+	if err := sh.mergeShardLocked(); err != nil {
 		mKwMergeFails.Inc()
-		sh.nextMerge = len(sh.docLens) + s.mergeThreshold
-	} else {
-		sh.nextMerge = 0
 	}
 }
 
@@ -244,8 +217,7 @@ func (s *ShardedKeywordIndex) tryMergeLocked(i int, sh *keywordShard) {
 // document demotes the segment into the map tier first and merges the
 // remainder again, like a replacing Add.
 func (s *ShardedKeywordIndex) Remove(docID string) error {
-	i := s.shardIndex(docID)
-	sh := s.shards[i]
+	sh := s.shards[s.shardIndex(docID)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	defer sh.publishLocked()
@@ -261,7 +233,7 @@ func (s *ShardedKeywordIndex) Remove(docID string) error {
 	}
 	sh.removeMemLocked(docID)
 	if demoted {
-		s.tryMergeLocked(i, sh)
+		s.tryMergeLocked(sh)
 	}
 	return nil
 }
@@ -293,16 +265,16 @@ func (s *ShardedKeywordIndex) BulkLoad(docs []Doc, parallelism int) {
 		}
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(i int, share []Doc) {
+		go func(sh *keywordShard, share []Doc) {
 			defer wg.Done()
-			s.bulkLoadShard(i, share)
+			s.bulkLoadShard(sh, share)
 			<-sem
-		}(i, share)
+		}(s.shards[i], share)
 	}
 	wg.Wait()
 }
 
-func (s *ShardedKeywordIndex) bulkLoadShard(i int, docs []Doc) {
+func (s *ShardedKeywordIndex) bulkLoadShard(sh *keywordShard, docs []Doc) {
 	// Sort by ID; of a repeated ID the last entry wins, as a loop of Adds
 	// would have it.
 	sort.SliceStable(docs, func(a, b int) bool { return docs[a].ID < docs[b].ID })
@@ -319,7 +291,6 @@ func (s *ShardedKeywordIndex) bulkLoadShard(i int, docs []Doc) {
 	if s.mergeThreshold > 0 {
 		run = runFromDocs(docs)
 	}
-	sh := s.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	defer sh.publishLocked()
@@ -336,11 +307,10 @@ func (s *ShardedKeywordIndex) bulkLoadShard(i int, docs []Doc) {
 		if len(absent) < len(docs) {
 			run = runFromDocs(absent)
 		}
-		if err := s.mergeRunLocked(i, sh, run); err == nil {
+		if err := sh.mergeRunLocked(run); err == nil {
 			return
 		}
 		mKwMergeFails.Inc()
-		sh.nextMerge = len(sh.docLens) + len(absent) + s.mergeThreshold
 	}
 	for _, d := range absent {
 		sh.addMemLocked(d.ID, d.Text)
@@ -354,7 +324,6 @@ func (sh *keywordShard) removeMemLocked(docID string) {
 	}
 	sh.totalLen -= n
 	delete(sh.docLens, docID)
-	delete(sh.docCRCs, docID)
 	for tok, m := range sh.postings {
 		if _, ok := m[docID]; ok {
 			delete(m, docID)
@@ -366,10 +335,7 @@ func (sh *keywordShard) removeMemLocked(docID string) {
 }
 
 // demoteLocked dissolves the shard's segment back into the map tier so a
-// member document can be replaced or removed. The stale segment file (if
-// any) is left in place: on reopen the per-document text CRCs no longer
-// match the registry and the file is rejected and rebuilt — and if the
-// same texts are re-added the file is simply correct again.
+// member document can be replaced or removed.
 func (sh *keywordShard) demoteLocked() error {
 	seg := sh.seg
 	for t, term := range seg.terms {
@@ -386,10 +352,8 @@ func (sh *keywordShard) demoteLocked() error {
 	}
 	for i, id := range seg.docIDs {
 		sh.docLens[id] = int(seg.docLens[i])
-		sh.docCRCs[id] = seg.docCRCs[i]
 		sh.totalLen += int(seg.docLens[i])
 	}
-	seg.src.close()
 	sh.seg = nil
 	mKwDemotes.Inc()
 	return nil
@@ -397,43 +361,23 @@ func (sh *keywordShard) demoteLocked() error {
 
 // mergeShardLocked merges the shard's map tier into its segment and resets
 // the map tier. On any error the shard is left exactly as it was.
-func (s *ShardedKeywordIndex) mergeShardLocked(i int, sh *keywordShard) error {
-	if err := s.mergeRunLocked(i, sh, runFromMaps(sh.postings, sh.docLens, sh.docCRCs)); err != nil {
+func (sh *keywordShard) mergeShardLocked() error {
+	if err := sh.mergeRunLocked(runFromMaps(sh.postings, sh.docLens)); err != nil {
 		return err
 	}
 	sh.postings = make(map[string]map[string]int)
 	sh.docLens = make(map[string]int)
-	sh.docCRCs = make(map[string]uint64)
 	sh.totalLen = 0
 	return nil
 }
 
 // mergeRunLocked builds a fresh segment from run plus the shard's existing
-// segment, publishes it to disk when the index is disk-resident, and swaps
-// it in. On any error the shard is left exactly as it was.
-func (s *ShardedKeywordIndex) mergeRunLocked(i int, sh *keywordShard, run *postingsRun) error {
+// segment and swaps it in. On any error the shard is left exactly as it was.
+func (sh *keywordShard) mergeRunLocked(run *postingsRun) error {
 	start := time.Now()
 	seg, err := buildSegment(run, sh.seg)
 	if err != nil {
 		return err
-	}
-	if s.dir != "" {
-		path := s.segPath(i)
-		blobOff, err := writeSegmentFile(s.fsys, path, seg, i, len(s.shards))
-		if err != nil {
-			return err
-		}
-		f, err := s.fsys.OpenFile(path, os.O_RDONLY, 0)
-		if err != nil {
-			return err
-		}
-		// Swap the just-written blocks out of RAM for pread on the
-		// published file; the rest of the segment (dict, doc table,
-		// block metadata) stays resident.
-		seg.src = &fileBlocks{f: f, base: blobOff}
-	}
-	if sh.seg != nil {
-		sh.seg.src.close()
 	}
 	sh.seg = seg
 	mKwMerges.Inc()
@@ -441,21 +385,15 @@ func (s *ShardedKeywordIndex) mergeRunLocked(i int, sh *keywordShard, run *posti
 	return nil
 }
 
-// Flush merges every shard's map tier into its segment. For a
-// disk-resident index this publishes all postings, so a subsequent
-// AdoptSegments covers the whole corpus; shards left with no documents at
-// all have their stale segment file removed.
+// Flush merges every shard's map tier into its segment.
 func (s *ShardedKeywordIndex) Flush() error {
 	var firstErr error
 	for i, sh := range s.shards {
 		sh.mu.Lock()
-		switch {
-		case len(sh.docLens) > 0:
-			if err := s.mergeShardLocked(i, sh); err != nil && firstErr == nil {
+		if len(sh.docLens) > 0 {
+			if err := sh.mergeShardLocked(); err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("flushing keyword shard %d: %w", i, err)
 			}
-		case sh.seg == nil && s.dir != "":
-			os.Remove(s.segPath(i))
 		}
 		sh.publishLocked()
 		sh.mu.Unlock()
@@ -463,61 +401,12 @@ func (s *ShardedKeywordIndex) Flush() error {
 	return firstErr
 }
 
-// AdoptSegments opens every published segment file under the index's Dir
-// and adopts the ones that still describe the current corpus: verify is
-// called with each covered document's ID and the CRC-64 of the text the
-// segment indexed, and must report whether that is still the document's
-// text. A file that is missing, damaged in any way, from a different shard
-// layout, holding a misplaced document, or stale by CRC is skipped whole —
-// its documents simply stay with the caller to re-add. Returns the IDs the
-// adopted segments cover.
-func (s *ShardedKeywordIndex) AdoptSegments(verify func(docID string, crc uint64) bool) []string {
-	if s.dir == "" {
-		return nil
-	}
-	var covered []string
-	for i, sh := range s.shards {
-		seg, err := openSegmentFile(s.fsys, s.segPath(i), i, len(s.shards), true)
-		if err != nil {
-			if !os.IsNotExist(err) {
-				mKwAdoptRejected.Inc()
-			}
-			continue
-		}
-		ok := true
-		for d, id := range seg.docIDs {
-			if s.shardIndex(id) != i || !verify(id, seg.docCRCs[d]) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			seg.src.close()
-			mKwAdoptRejected.Inc()
-			continue
-		}
-		sh.mu.Lock()
-		if old := sh.seg; old != nil {
-			old.src.close()
-		}
-		sh.seg = seg
-		sh.publishLocked()
-		sh.mu.Unlock()
-		covered = append(covered, seg.docIDs...)
-		mKwAdopted.Inc()
-	}
-	return covered
-}
-
-// Close releases segment file handles and withdraws the index's documents
-// from the process tier gauges. The index is unusable afterwards.
+// Close drops the segments and withdraws the index's documents from the
+// process tier gauges. The index is unusable afterwards.
 func (s *ShardedKeywordIndex) Close() error {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		if sh.seg != nil {
-			sh.seg.src.close()
-			sh.seg = nil
-		}
+		sh.seg = nil
 		mKwMapDocs.Add(-int64(sh.pubMap))
 		mKwSegDocs.Add(-int64(sh.pubSeg))
 		sh.pubMap, sh.pubSeg = 0, 0
@@ -539,11 +428,10 @@ func (s *ShardedKeywordIndex) SegmentCount() int {
 	return n
 }
 
-// MemBytes estimates the heap retained by the index across both tiers —
-// the number DiskResidentPostings exists to shrink. Map-tier sizes use the
-// same per-entry overhead constants as the rest of the lake's residency
-// accounting; segment sizes count the doc table, dictionary, block
-// metadata, and (for in-RAM segments) the block blob.
+// MemBytes estimates the heap retained by the index across both tiers.
+// Map-tier sizes use the same per-entry overhead constants as the rest of
+// the lake's residency accounting; segment sizes count the doc table,
+// dictionary, block metadata and the block blob.
 func (s *ShardedKeywordIndex) MemBytes() int64 {
 	const mapEntry = 48 // rough per-entry bucket overhead
 	const strHeader = 16
@@ -559,7 +447,6 @@ func (s *ShardedKeywordIndex) MemBytes() int64 {
 		for id := range sh.docLens {
 			n += int64(len(id)) + strHeader + 8 + mapEntry
 		}
-		n += int64(len(sh.docCRCs)) * (strHeader + 8 + mapEntry) // ids shared with docLens
 		n += sh.seg.memBytes()
 		sh.mu.RUnlock()
 	}
@@ -730,7 +617,7 @@ func (s *ShardedKeywordIndex) putScratch(sc *kwScratch) {
 // Search returns up to k documents ranked by BM25 relevance to the query.
 // All shards are read-locked for the duration of the scoring pass, giving
 // each query a consistent global snapshot. The only error source is a
-// failed block read on a disk-resident segment.
+// block that fails to decode (ErrBadPostings).
 func (s *ShardedKeywordIndex) Search(query string, k int) ([]Hit, error) {
 	mKwSearches.Inc()
 	tokens := data.Tokenize(query)
